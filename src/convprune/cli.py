@@ -2,13 +2,15 @@
 
 Exit codes: 0 success, 1 usage error, 2 file/parse error, 3 the pruning run
 stopped before reaching its budget, 4 a verification suite exceeded its
-tolerance.
+tolerance, 5 a numerical failure (singular or non-finite linear algebra).
 """
 from __future__ import annotations
 
 import argparse
 import json
 import sys
+
+import numpy as np
 
 from . import modelio, oracles
 from .metrics import count_stats, reduction_report
@@ -21,6 +23,7 @@ EXIT_USAGE = 1
 EXIT_FILE = 2
 EXIT_PARTIAL = 3
 EXIT_VERIFY = 4
+EXIT_NUMERIC = 5
 
 GEN_SPATIAL = 8  # spatial size of generated calibration data
 
@@ -206,6 +209,9 @@ def main(argv=None) -> int:
     except (modelio.ModelIOError, DimensionError, OSError) as exc:
         print(f"convprune {args.command}: {exc}", file=sys.stderr)
         return EXIT_FILE
+    except np.linalg.LinAlgError as exc:  # a ValueError, so caught first
+        print(f"convprune {args.command}: {exc}", file=sys.stderr)
+        return EXIT_NUMERIC
     except ValueError as exc:
         print(f"convprune {args.command}: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -15,8 +15,9 @@ from .compensation import apply_pruning, compensate_output
 from .nets import ConvLayer, Network, conv_forward, forward_all_layers
 from .search import candidate_for_layer, propagate_tree
 from .selection import (
-    GramInverse,
+    FilterMatrix,
     _argmin_tied,
+    default_ridge,
     downdate_gram,
     elimination_scores,
     flatten_filters,
@@ -60,19 +61,6 @@ def lstsq_error(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.einsum("ij,ij->", resid, resid))
 
 
-class FilterMatrixShim:
-    """Wrap a raw matrix in the FilterMatrix interface for the suites."""
-
-    def __init__(self, matrix: np.ndarray):
-        self.matrix = np.asarray(matrix, dtype=np.float64)
-        self.col_norms = np.linalg.norm(self.matrix, axis=0)
-        self.direction = "output"
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
-
 def _well_conditioned(rng: np.random.Generator, rows: int, cols: int) -> np.ndarray:
     while True:
         a = rng.standard_normal((rows, cols))
@@ -93,8 +81,7 @@ def deletion_suite(seed: int = 20240801, trials: int = 100) -> SuiteResult:
         rows = int(rng.integers(max(8, cols + 2), 65))
         a = _well_conditioned(rng, rows, cols)
         b = rng.standard_normal((rows, int(rng.integers(4, 17))))
-        blocks = gram_inverse(a, ridge=0.0)
-        scores = elimination_scores(a, b, blocks)
+        scores = elimination_scores(gram_inverse(a.T @ a, a.T @ b, 0.0))
         base = lstsq_error(a, b)
         worst = 0.0
         for k in range(cols):
@@ -162,7 +149,7 @@ def omp_suite(seed: int = 20240803, trials: int = 30) -> SuiteResult:
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         a = rng.standard_normal((16, 8))
-        sel = fp_omp(FilterMatrixShim(a), beta=0.5)
+        sel = fp_omp(FilterMatrix(a, np.linalg.norm(a, axis=0)), beta=0.5)
         best = min(
             lstsq_error(a[:, list(subset)], a) for subset in combinations(range(8), 4)
         )
@@ -186,11 +173,11 @@ def backward_suite(seed: int = 20240804, trials: int = 50) -> SuiteResult:
         rows = int(rng.integers(n + 2, 41))
         a = _well_conditioned(rng, rows, n)
         t = int(rng.integers(1, n))
-        layer_like = FilterMatrixShim(a)
-        sel = fp_backward(layer_like, beta=1.0 - t / n)
+        sel = fp_backward(FilterMatrix(a, np.linalg.norm(a, axis=0)), beta=1.0 - t / n)
         scale = float(np.einsum("ij,ij->", a, a)) / n
         keep = list(range(n))
-        blocks = gram_inverse(a)
+        gram, ridge = a.T @ a, default_ridge(a)
+        state = gram_inverse(gram, gram, ridge)
         mismatch = False
         worst = 0.0
         for step, removed in enumerate(sel.order):
@@ -207,11 +194,12 @@ def backward_suite(seed: int = 20240804, trials: int = 50) -> SuiteResult:
             k = keep.index(removed)
             keep.pop(k)
             if len(keep) >= 1 and step < len(sel.order) - 1:
-                blocks = downdate_gram(blocks, k)
-                fresh = gram_inverse(a[:, keep], ridge=blocks.ridge)
+                state = downdate_gram(state, k)
+                a_sub = a[:, keep]
+                fresh = gram_inverse(a_sub.T @ a_sub, a_sub.T @ a, ridge)
                 denom = max(np.abs(fresh.matrix).max(), 1e-300)
                 worst = max(
-                    worst, np.abs(blocks.matrix - fresh.matrix).max() / denom
+                    worst, np.abs(state.matrix - fresh.matrix).max() / denom
                 )
         out.record(trial, worst, mismatch=mismatch)
     return out

@@ -6,7 +6,8 @@ best in the least-squares sense.  Two selectors are provided: a greedy
 forward pass (orthogonal matching pursuit over the filters themselves) and a
 backward elimination pass that removes one filter at a time using a
 closed-form expression for the exact error increase of each removal, with
-the inverse Gram matrix downdated in place instead of refactorized.
+the inverse Gram matrix and the least-squares coefficients held in Gram
+space and downdated by a rank-1 update after each removal.
 """
 from __future__ import annotations
 
@@ -25,6 +26,11 @@ RIDGE_SCALE = 1e-10
 # treated as tied (ties go to the smallest original index).  Wide enough to
 # absorb the ridge-induced slack on exact-duplicate columns.
 TIE_SLACK = 1e-6
+
+# Refactorize the elimination state instead of downdating it when the
+# removed column's variance-inflation factor gamma_k (C_kk + ridge) exceeds
+# this: the downdate cancels about log10 of that factor in digits.
+REFACTOR_VIF = 1e6
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -185,100 +191,70 @@ def fp_omp(filters: FilterMatrix, beta: float) -> SelectionResult:
 
 @dataclass(frozen=True)
 class GramInverse:
-    """Inverse of (A_S^T A_S + ridge I) for the current retained columns.
+    """Backward-elimination state for the retained set S, held in Gram space.
 
-    gram_diag keeps the (ridged) Gram diagonal alongside the inverse so a
-    caller can cheaply verify the pair still describes its columns.
+    matrix is G = (C_SS + ridge I)^-1 and coeffs is X = G C_S:, the
+    least-squares coefficients of every target on the retained columns,
+    where C = A^T A over all columns.
     """
 
     matrix: np.ndarray
+    coeffs: np.ndarray
     ridge: float
-    gram_diag: np.ndarray
-
-    def blocks(self, k: int) -> tuple[np.ndarray, float]:
-        """Off-diagonal column g_k and diagonal entry gamma_k for column k."""
-        gamma = float(self.matrix[k, k])
-        g = np.delete(self.matrix[:, k], k)
-        return g, gamma
 
 
-def gram_inverse(a_sub: np.ndarray, ridge: float | None = None) -> GramInverse:
-    """Freshly inverted regularized Gram of the given columns."""
-    if ridge is None:
-        ridge = default_ridge(a_sub)
-    gram = a_sub.T @ a_sub
-    gram[np.diag_indices_from(gram)] += ridge
-    diag = np.diag(gram).copy()
+def gram_inverse(gram: np.ndarray, cross: np.ndarray, ridge: float) -> GramInverse:
+    """Fresh state from the Gram block C_SS and the cross block C_S: ."""
+    size = gram.shape[0]
+    if gram.shape != (size, size) or cross.shape[:1] != (size,):
+        raise ConsistencyError(
+            f"Gram block {gram.shape} does not match cross block {cross.shape}"
+        )
+    ridged = gram + ridge * np.eye(size)
     try:
-        inv = np.linalg.inv(gram)
+        inv = np.linalg.inv(ridged)
     except np.linalg.LinAlgError:
         raise SingularGramError(
             f"Gram matrix singular at ridge {ridge:.3e} "
-            f"(condition ~ {np.linalg.cond(gram):.3e})"
+            f"(condition ~ {np.linalg.cond(ridged):.3e})"
         ) from None
-    return GramInverse(inv, ridge, diag)
+    return GramInverse(inv, inv @ cross, ridge)
 
 
-def _check_blocks(a_sub: np.ndarray, blocks: GramInverse) -> None:
-    # Spot-check one Gram entry: the stored diagonal must match the energy
-    # of the first column.
-    fresh = float(a_sub[:, 0] @ a_sub[:, 0]) + blocks.ridge
-    if abs(fresh - blocks.gram_diag[0]) > 1e-8 * max(fresh, 1e-300):
-        raise ConsistencyError("inverse Gram does not match the given columns")
-
-
-def _inverse_drift(a_sub: np.ndarray, blocks: GramInverse) -> float:
-    """Relative deviation of one row of Gram @ inverse from the identity.
-
-    Measured against the accumulated product magnitude, so near-singular but
-    accurately inverted Grams score near machine precision while a downdate
-    that has lost accuracy scores high.
-    """
-    v = a_sub.T @ a_sub[:, 0]
-    v[0] += blocks.ridge
-    prod = v * blocks.matrix[:, 0]
-    return abs(float(prod.sum()) - 1.0) / (float(np.abs(prod).sum()) + 1.0)
-
-
-def elimination_scores(
-    a_sub: np.ndarray, b: np.ndarray, blocks: GramInverse
-) -> np.ndarray:
+def elimination_scores(state: GramInverse) -> np.ndarray:
     """Exact squared-error increase from deleting each retained column.
 
-    For column k with inverse-Gram column (g_k, gamma_k), the direction
-    d_k = A_{-k} g_k + a_k gamma_k = A @ G[:, k] satisfies
-    increase_k = sum_j (d_k . b_j)^2 / gamma_k; the stacked d_k^T b_j values
-    are just G @ (A^T b), i.e. the current least-squares solution matrix.
+    For column k with inverse-Gram diagonal gamma_k, the direction
+    d_k = A_S G[:, k] satisfies increase_k = sum_j (d_k . b_j)^2 / gamma_k,
+    and d_k^T b_j is entry (k, j) of the coefficient matrix X.
     """
-    if a_sub.shape[1] != blocks.matrix.shape[0]:
-        raise ConsistencyError(
-            f"{a_sub.shape[1]} columns but inverse Gram is {blocks.matrix.shape}"
-        )
-    _check_blocks(a_sub, blocks)
-    gammas = np.diag(blocks.matrix)
+    gammas = np.diag(state.matrix)
     if np.any(gammas <= 0.0):
         raise SingularGramError("inverse Gram lost positive definiteness")
-    proj = blocks.matrix @ (a_sub.T @ b)  # row k = d_k^T b over all targets
-    return np.einsum("kj,kj->k", proj, proj) / gammas
+    return np.einsum("kj,kj->k", state.coeffs, state.coeffs) / gammas
 
 
-def downdate_gram(blocks: GramInverse, k: int) -> GramInverse:
-    """Inverse Gram after deleting retained column k, without refactorizing.
+def downdate_gram(state: GramInverse, k: int) -> GramInverse:
+    """State after deleting retained column k, without refactorizing.
 
-    Uses the block-inverse identity: drop row/column k from G and subtract
-    g_k g_k^T / gamma_k.
+    Block-inverse identity: with g = G[-k, k] and gamma = G[k, k],
+    G' = G[-k, -k] - g g^T / gamma and X' = X[-k] - g X[k]^T / gamma.
     """
-    size = blocks.matrix.shape[0]
+    size = state.matrix.shape[0]
     if size < 2:
         raise ConsistencyError("cannot downdate a 1x1 Gram inverse")
     if not 0 <= k < size:
         raise ConsistencyError(f"column {k} out of range for size {size}")
-    g, gamma = blocks.blocks(k)
+    gamma = float(state.matrix[k, k])
     if gamma <= 0.0:
         raise SingularGramError("inverse Gram lost positive definiteness")
-    rest = np.delete(np.delete(blocks.matrix, k, axis=0), k, axis=1)
+    g = np.delete(state.matrix[:, k], k)
+    rest = np.delete(np.delete(state.matrix, k, axis=0), k, axis=1)
+    coeffs = np.delete(state.coeffs, k, axis=0)
     return GramInverse(
-        rest - np.outer(g, g) / gamma, blocks.ridge, np.delete(blocks.gram_diag, k)
+        rest - np.outer(g, g) / gamma,
+        coeffs - np.outer(g, state.coeffs[k]) / gamma,
+        state.ridge,
     )
 
 
@@ -288,17 +264,16 @@ def _argmin_tied(scores: np.ndarray, scale: float) -> int:
     return int(np.argmax(tied))
 
 
-def fp_backward(
-    filters: FilterMatrix, beta: float, fresh_gram: bool = False
-) -> SelectionResult:
+def fp_backward(filters: FilterMatrix, beta: float) -> SelectionResult:
     """Backward filter elimination.
 
     Starts from all columns and repeatedly removes the one whose deletion
     increases the total reconstruction error (against all original columns,
     fixed) the least, per elimination_scores.  Ties go to the smallest
-    original index.  After the first fresh inversion the Gram inverse is
-    downdated each step; fresh_gram=True refactorizes every step instead.
-    No normalization is applied at any point.
+    original index.  C = A^T A is formed once; the elimination state is
+    downdated each step and refactorized from blocks of C only after
+    removing a nearly dependent column.  No normalization is applied at any
+    point.
     """
     a = filters.matrix
     n = filters.n_cols
@@ -306,19 +281,17 @@ def fp_backward(
     scale = float(np.einsum("ij,ij->", a, a)) / n
     keep = list(range(n))
     order: list[int] = []
-    blocks = gram_inverse(a) if len(keep) > t else None
+    gram = a.T @ a
+    ridge = default_ridge(a)
+    state = gram_inverse(gram, gram, ridge) if n > t else None
     while len(keep) > t:
-        a_sub = a[:, keep]
-        scores = elimination_scores(a_sub, a, blocks)
-        k = _argmin_tied(scores, scale)
-        order.append(keep.pop(k))
+        k = _argmin_tied(elimination_scores(state), scale)
+        removed = keep.pop(k)
+        order.append(removed)
         if len(keep) > t:
-            if fresh_gram:
-                blocks = gram_inverse(a[:, keep], ridge=blocks.ridge)
+            vif = state.matrix[k, k] * (gram[removed, removed] + ridge)
+            if vif > REFACTOR_VIF:
+                state = gram_inverse(gram[np.ix_(keep, keep)], gram[keep], ridge)
             else:
-                blocks = downdate_gram(blocks, k)
-                # Downdating a near-singular inverse can lose accuracy;
-                # refactorize when the identity check drifts.
-                if _inverse_drift(a[:, keep], blocks) > 1e-9:
-                    blocks = gram_inverse(a[:, keep], ridge=blocks.ridge)
+                state = downdate_gram(state, k)
     return _finish(a, keep, order)

@@ -16,6 +16,7 @@ import pytest
 
 from convprune import (
     ConvLayer,
+    FilterMatrix,
     Network,
     PruneConfig,
     PruneReport,
@@ -39,7 +40,6 @@ from convprune import (
     write_tensor,
 )
 from convprune.oracles import (
-    FilterMatrixShim,
     backward_suite,
     compensation_suite,
     deletion_suite,
@@ -200,7 +200,7 @@ def test_criterion_07_nonuniform_beats_uniform():
 def test_criterion_08_backward_faster_than_omp():
     rng = np.random.default_rng(2024)
     a = rng.standard_normal((576, 256))  # K^2 m = 576 rows, n = 256 filters
-    fm = FilterMatrixShim(a)
+    fm = FilterMatrix(a, np.linalg.norm(a, axis=0))
     beta = 5 / 256
 
     t0 = time.perf_counter()

@@ -6,7 +6,14 @@ import json
 import numpy as np
 import pytest
 
-from convprune import cli, oracles, read_model, read_report, read_tensor
+from convprune import (
+    SingularGramError,
+    cli,
+    oracles,
+    read_model,
+    read_report,
+    read_tensor,
+)
 from convprune.oracles import SuiteResult
 
 
@@ -191,6 +198,18 @@ def test_data_model_mismatch_exits_2(workspace, tmp_path, capsys):
     assert run("prune", "--model", str(model), "--data", str(bad),
                "--beta", "0.3", "--out", str(tmp_path / "o.json")) == 2
     capsys.readouterr()
+
+
+def test_numerical_failure_exits_5(workspace, monkeypatch, capsys):
+    tmp_path, model, data = workspace
+
+    def singular(*args, **kwargs):
+        raise SingularGramError("Gram matrix singular")
+
+    monkeypatch.setattr(cli, "run_selector", singular)
+    assert run("prune", "--model", str(model), "--data", str(data),
+               "--beta", "0.3", "--out", str(tmp_path / "o.json")) == 5
+    assert "singular" in capsys.readouterr().err
 
 
 def test_verify_single_suite(capsys):
