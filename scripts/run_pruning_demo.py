@@ -17,22 +17,12 @@ import sys
 from convprune import (
     PruneConfig,
     count_stats,
-    hbgs,
-    hbgts,
     make_dataset,
     planted_network,
-    random_baseline,
     reduction_report,
     relative_output_error,
-    uniform_baseline,
 )
-
-DRIVERS = {
-    "hbgs": hbgs,
-    "hbgts": hbgts,
-    "uniform": uniform_baseline,
-    "random": random_baseline,
-}
+from convprune.search import DRIVERS
 
 
 def parse_args(argv=None):

@@ -1,7 +1,9 @@
-"""Minimal CNN containers and a same-padding, stride-1 convolution engine.
+"""Minimal CNN containers and a batch-first, same-padding, stride-1 conv engine.
 
-Everything is float64 and channels-first: activations are (channels, H, W)
-arrays, datasets are (N, channels, H, W) arrays.  A layer is a K x K
+Everything is float64 and channels-first.  The engine works on batches:
+activations are (N, channels, H, W) arrays, and a single (channels, H, W)
+example is treated as a batch of one.  Each convolution is lowered to one
+GEMM over im2col patches (Chellapilla et al., 2006).  A layer is a K x K
 convolution optionally followed by a 1x1 channel-mixing map and an
 elementwise activation.  The 1x1 map is what pruning uses to keep a layer's
 composite output width fixed while its K x K filter bank shrinks.
@@ -125,25 +127,35 @@ def apply_activation(kind: str, x: np.ndarray) -> np.ndarray:
 def conv_forward_linear(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     """Convolution plus 1x1 channel mix, before the activation.
 
-    x is (in_channels, H, W); output is (width, H, W).  Padding keeps the
-    spatial size ("same", stride 1); the kernel is applied without flipping,
-    centered on each pixel (left-biased for even K).
+    x is a batch (N, in_channels, H, W) and the output is (N, width, H, W);
+    a single example (in_channels, H, W) gives a (width, H, W) output.
+    Padding keeps the spatial size ("same", stride 1); the kernel is applied
+    without flipping, centered on each pixel (left-biased for even K).
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 3:
-        raise DimensionError(f"input must be (channels, H, W), got shape {x.shape}")
-    if x.shape[0] != layer.in_channels:
+    batch = x if x.ndim != 3 else x[np.newaxis]
+    if batch.ndim != 4:
         raise DimensionError(
-            f"layer expects {layer.in_channels} input channels, got {x.shape[0]}"
+            f"input must be (N, channels, H, W) or (channels, H, W), got {x.shape}"
+        )
+    n_ex, m, height, width = batch.shape
+    if m != layer.in_channels:
+        raise DimensionError(
+            f"layer expects {layer.in_channels} input channels, got {m}"
         )
     k = layer.kernel_size
-    lo, hi = (k - 1) // 2, k // 2
-    xp = np.pad(x, ((0, 0), (lo, hi), (lo, hi)))
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (in, H, W, K, K)
-    y = np.einsum("ihwab,jiab->jhw", windows, layer.weights, optimize=True)
+    lo = (k - 1) // 2
+    # channels-last padded copy, so each im2col patch row gathers K*K
+    # contiguous channel runs
+    xp = np.zeros((n_ex, height + k - 1, width + k - 1, m))
+    xp[:, lo : lo + height, lo : lo + width] = batch.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, H, W, m, K, K)
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n_ex * height * width, -1)
+    y = cols @ layer.weights.transpose(2, 3, 1, 0).reshape(k * k * m, -1)
     if layer.comp is not None:
-        y = np.einsum("jhw,jk->khw", y, layer.comp)
-    return y
+        y = y @ layer.comp
+    y = y.reshape(n_ex, height, width, layer.width).transpose(0, 3, 1, 2)
+    return y if x.ndim != 3 else y[0]
 
 
 def conv_forward(layer: ConvLayer, x: np.ndarray) -> np.ndarray:

@@ -7,8 +7,8 @@ until the parameter budget is met.  Two scoring rules are provided:
 - hbgs compares each candidate against the original network's output *at
   that layer* (layerwise error, one forward pass per example per round);
 - hbgts propagates every candidate to the *final* output through a buffer
-  of composite passes, still one pass per example per round instead of one
-  per candidate.
+  of composite passes: one batched tree pass over the whole dataset per
+  round instead of one pass per candidate.
 
 Uniform and random baselines share the same bookkeeping so their reports
 are directly comparable.
@@ -184,13 +184,14 @@ def relative_error_hbgs(
 
 @dataclass
 class PropagationBuffer:
-    """Hypothesis outputs of one example after a composite tree pass.
+    """Hypothesis outputs of a batch (or one example) after a composite tree pass.
 
     rows[c] (c = 1..C) holds c+1 tensors: rows[c][0] is the unpruned chain,
     rows[c][1] applies the layer-c candidate at layer c, and rows[c][j]
     (j >= 2) carries the layer-(c-j+1) candidate propagated forward through
     unpruned layers.  rows[0] is the input.  At the final layer the stored
     tensors honour the measurement point; interior rows are post-activation.
+    Every tensor has the leading batch axis of the input, if it had one.
     """
 
     rows: list[list[np.ndarray]] = field(default_factory=list)
@@ -213,6 +214,7 @@ def propagate_tree(
 ) -> PropagationBuffer:
     """One composite forward pass carrying every candidate hypothesis.
 
+    x is a batch (N, channels, H, W) or a single example (channels, H, W).
     A layer with no candidate contributes the unpruned output as its
     hypothesis (aliased, not recomputed, and kept aliased downstream).
     """
@@ -244,31 +246,46 @@ def propagate_tree(
 def _final_errors(
     buf: PropagationBuffer, eligible: list[int], errors: np.ndarray
 ) -> int:
+    """Add each example's relative final-output errors, in dataset order.
+
+    buf holds a batch; returns the number of examples skipped for a
+    zero-norm reference.
+    """
     base = buf.final_reference
-    base_norm = float(np.linalg.norm(base))
-    if base_norm == 0.0:
-        return 1
-    for c in eligible:
-        diff = buf.hypothesis_final(c)
-        errors[c] += float(np.linalg.norm(base - diff)) / base_norm
-    return 0
+    skips = 0
+    for i, ref in enumerate(base):
+        ref_norm = float(np.linalg.norm(ref))
+        if ref_norm == 0.0:
+            skips += 1
+            continue
+        for c in eligible:
+            diff = ref - buf.hypothesis_final(c)[i]
+            errors[c] += float(np.linalg.norm(diff)) / ref_norm
+    return skips
+
+
+def final_output(net: Network, data: np.ndarray, point: str = "post") -> np.ndarray:
+    """Final-layer output of net on a batch, at the measurement point."""
+    y = data
+    for layer in net.layers[:-1]:
+        y = conv_forward(layer, y)
+    return _measured(net.layers[-1], y, point)
 
 
 def relative_output_error(
     net: Network, reference: Network, data: np.ndarray, point: str = "post"
 ) -> tuple[float, int]:
-    """Dataset-summed relative error between two networks' final outputs."""
+    """Dataset-summed relative error between two networks' final outputs.
+
+    Each network runs once over the whole dataset; per-example errors are
+    summed in dataset order, and zero-norm references are skipped and counted.
+    """
+    data = check_dataset(reference, data)
+    refs = final_output(reference, data, point)
+    outs = final_output(net, data, point)
     total = 0.0
     skips = 0
-    for x in data:
-        ref = x
-        for layer in reference.layers[:-1]:
-            ref = conv_forward(layer, ref)
-        ref = _measured(reference.layers[-1], ref, point)
-        out = x
-        for layer in net.layers[:-1]:
-            out = conv_forward(layer, out)
-        out = _measured(net.layers[-1], out, point)
+    for ref, out in zip(refs, outs):
         ref_norm = float(np.linalg.norm(ref))
         if ref_norm == 0.0:
             skips += 1
@@ -401,17 +418,15 @@ def hbgts(
     """Greedy layer selection by final-output candidate error.
 
     Every candidate hypothesis is carried to the final layer by one
-    composite tree pass per example, so a round costs len(data) passes
-    rather than len(net) * len(data).
+    composite tree pass over the whole dataset per round, so a round costs
+    len(data) example passes rather than len(net) * len(data).
     """
     data = check_dataset(net, data)
 
     def score(current: Network, candidates, eligible):
         errors = np.where([c is not None for c in candidates], 0.0, math.inf)
-        skips = 0
-        for x in data:
-            buf = propagate_tree(current, candidates, x, cfg.error_point)
-            skips += _final_errors(buf, eligible, errors)
+        buf = propagate_tree(current, candidates, data, cfg.error_point)
+        skips = _final_errors(buf, eligible, errors)
         return errors, len(data), skips
 
     return _run_greedy(net, data, cfg, score, finetune, observer)

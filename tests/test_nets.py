@@ -37,6 +37,24 @@ def test_conv_matches_naive_loop(rng, m, n, k):
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.parametrize("n_ex", [1, 5])
+@pytest.mark.parametrize("with_comp", [False, True])
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_batched_conv_matches_naive_per_example(rng, k, with_comp, n_ex):
+    layer = rand_layer(rng, 3, 4, k=k, with_comp=with_comp, width=5)
+    batch = rng.standard_normal((n_ex, 3, 6, 5))
+    got = conv_forward_linear(layer, batch)
+    assert got.shape == (n_ex, layer.width, 6, 5)
+    for x, out in zip(batch, got):
+        want = naive_conv(layer.weights, x)
+        if with_comp:
+            want = np.einsum("jhw,jk->khw", want, layer.comp)
+        np.testing.assert_allclose(out, want, rtol=1e-12, atol=1e-12)
+    # a single example is a batch of one through the same code path
+    single = conv_forward_linear(layer, batch[0])
+    np.testing.assert_array_equal(single, conv_forward_linear(layer, batch[:1])[0])
+
+
 def test_comp_map_mixes_channels(rng):
     x = rng.standard_normal((2, 4, 4))
     weights = rng.standard_normal((3, 2, 3, 3))
@@ -94,6 +112,10 @@ def test_shape_mismatches_raise(rng):
         conv_forward(layer, rng.standard_normal((2, 5, 5)))
     with pytest.raises(DimensionError):
         conv_forward(layer, rng.standard_normal((3, 5)))
+    with pytest.raises(DimensionError):
+        conv_forward(layer, rng.standard_normal((1, 3, 3, 5, 5)))
+    with pytest.raises(DimensionError):
+        conv_forward(layer, rng.standard_normal((2, 2, 5, 5)))
     with pytest.raises(DimensionError):
         ConvLayer(rng.standard_normal((4, 3, 3)))
     with pytest.raises(DimensionError):

@@ -24,8 +24,9 @@ from convprune import (
     run_selector,
     uniform_baseline,
 )
+from convprune import search
 from convprune.nets import conv_forward_linear
-from convprune.search import finetune_identity
+from convprune.search import PropagationBuffer, finetune_identity
 
 from conftest import rand_net
 
@@ -175,6 +176,49 @@ def test_tree_finals_match_swapped_networks(rng, point):
         np.testing.assert_allclose(
             buf.hypothesis_final(c), y, rtol=1e-12, atol=1e-12
         )
+
+
+def test_propagate_tree_batch_matches_per_example_trees(rng):
+    net = rand_net(rng, [2, 5, 4, 4, 3], k=3, activation="relu")
+    data = rng.standard_normal((4, 2, 5, 5))
+    candidates = all_candidates(net, n_prune=2)
+    candidates[2] = None
+    buf = propagate_tree(net, candidates, data)
+    for i, x in enumerate(data):
+        single = propagate_tree(net, candidates, x)
+        for row, want_row in zip(buf.rows, single.rows):
+            assert len(row) == len(want_row)
+            for got, want in zip(row, want_row):
+                np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
+    # aliasing is per batch, exactly as for one example
+    assert buf.rows[3][1] is buf.rows[3][0]
+    assert buf.hypothesis_final(2) is buf.final_reference
+
+
+def per_example_tree(net, candidates, data, point="post"):
+    """The tree pass run one example at a time, rows stacked into a batch."""
+    bufs = [propagate_tree(net, candidates, x, point) for x in data]
+    rows = [
+        [np.stack([b.rows[r][j] for b in bufs]) for j in range(len(row))]
+        for r, row in enumerate(bufs[0].rows)
+    ]
+    return PropagationBuffer(rows)
+
+
+def test_hbgts_batched_rounds_match_per_example_trees(rng, monkeypatch):
+    net = rand_net(rng, [3, 8, 7, 6], k=3, activation="relu")
+    data = rng.standard_normal((5, 3, 5, 5))
+    data[2] = 0.0  # a zero-norm reference is skipped per example
+    cfg = PruneConfig(beta=0.4, alpha=2)
+    batched = hbgts(net, data, cfg)
+    monkeypatch.setattr(search, "propagate_tree", per_example_tree)
+    looped = hbgts(net, data, cfg)
+    assert len(batched.rounds) == len(looped.rounds) > 1
+    for got, want in zip(batched.rounds, looped.rounds):
+        np.testing.assert_allclose(got.errors, want.errors, rtol=1e-12)
+        assert got.chosen_layer == want.chosen_layer
+        assert got.retained == want.retained
+        assert got.skipped_refs == want.skipped_refs == 1
 
 
 def test_propagate_tree_candidate_count_guard(rng):
@@ -447,6 +491,26 @@ def test_relative_output_error_identity(rng):
     assert skips == 0
     total, skips = relative_output_error(net, net, np.zeros((2, 2, 4, 4)))
     assert skips == 2
+
+
+@pytest.mark.parametrize("point", ["post", "pre"])
+def test_relative_output_error_matches_per_example_sum(rng, point):
+    net = rand_net(rng, [2, 6, 5, 4], k=3, activation="relu")
+    pruned = uniform_baseline(net, rng.standard_normal((3, 2, 4, 4)),
+                              PruneConfig(beta=0.5, selector="uniform")).network
+    data = rng.standard_normal((4, 2, 4, 4))
+    data[1] = 0.0
+    total, skips = relative_output_error(pruned, net, data, point)
+    want = 0.0
+    for x in data[[0, 2, 3]]:
+        ref, out = x, x
+        for c in range(len(net)):
+            last = point == "pre" and c == len(net) - 1
+            step = conv_forward_linear if last else conv_forward
+            ref, out = step(net.layers[c], ref), step(pruned.layers[c], out)
+        want += np.linalg.norm(ref - out) / np.linalg.norm(ref)
+    assert skips == 1
+    assert total == pytest.approx(want, rel=1e-12)
 
 
 def test_error_point_changes_scores(rng):
