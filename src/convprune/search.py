@@ -10,6 +10,16 @@ until the parameter budget is met.  Two scoring rules are provided:
   of composite passes: one batched tree pass over the whole dataset per
   round instead of one pass per candidate.
 
+Rounds are incremental.  A commit at layer k changes only layer k, so the
+next round reuses what it left unchanged: hbgts keeps the tree entries of
+layers < k and takes the committed hypothesis column as its new unpruned
+chain, so only the new layer-k candidate, the hypotheses of layers < k
+from row k on, and the candidates of layers > k run a conv; hbgs keeps the
+errors of layers < k and scores only layers >= k.  Reused values are the
+very arrays and floats the same computation produced, so results are
+exactly those of a full recompute.  Reuse is dropped whenever a finetune
+hook runs, since a hook may change any layer, even in place.
+
 Uniform and random baselines share the same bookkeeping so their reports
 are directly comparable.
 """
@@ -163,13 +173,15 @@ def relative_error_hbgs(
     Candidate c is applied to the current network's input to layer c and
     compared against refs[i][c] (the original network's layer-c output),
     normalized by that reference's norm.  Zero-norm references are skipped
-    and counted.  Layers without a candidate score math.inf.
+    and counted.  Layers without a candidate score math.inf.  Each example's
+    chain stops at the input of the last layer that has a candidate.
     """
     errors = np.where([c is not None for c in candidates], 0.0, math.inf)
+    depth = max((c for c, cand in enumerate(candidates) if cand is not None), default=-1)
     skips = 0
     for i, x in enumerate(data):
         y = x
-        for c, layer in enumerate(net.layers):
+        for c in range(depth + 1):
             if candidates[c] is not None:
                 ref = refs[i][c]
                 ref_norm = float(np.linalg.norm(ref))
@@ -178,7 +190,8 @@ def relative_error_hbgs(
                 else:
                     cand_out = _measured(candidates[c], y, point)
                     errors[c] += float(np.linalg.norm(ref - cand_out)) / ref_norm
-            y = conv_forward(layer, y)
+            if c < depth:
+                y = conv_forward(net.layers[c], y)
     return errors, skips
 
 
@@ -206,32 +219,80 @@ class PropagationBuffer:
         return self.rows[-1][0]
 
 
+# A tree entry: (layer, input, output) of one step, keyed by
+# (row, measurement point, id(layer), id(input)).  The entry holds the layer
+# and the input, so their ids stay unique while it is kept.
+TreeMemo = dict
+
+
+def _drop_stale(
+    memo: TreeMemo, net: Network, candidates: list[ConvLayer | None], x: np.ndarray
+) -> None:
+    """Drop the memo entries that a pass over (net, candidates, x) cannot hit.
+
+    An entry is kept when its layer is the net's or the candidate's layer of
+    its row and its input is x or the output of a kept entry; memo is in
+    row order, so one sweep decides every entry.
+    """
+    live = {id(x)}
+    for key, (lay, inp, out) in list(memo.items()):
+        c = key[0]
+        if (
+            c < len(net)
+            and (lay is net.layers[c] or lay is candidates[c])
+            and id(inp) in live
+        ):
+            live.add(id(out))
+        else:
+            del memo[key]
+
+
 def propagate_tree(
     net: Network,
     candidates: list[ConvLayer | None],
     x: np.ndarray,
     point: str = "post",
+    memo: TreeMemo | None = None,
 ) -> PropagationBuffer:
     """One composite forward pass carrying every candidate hypothesis.
 
     x is a batch (N, channels, H, W) or a single example (channels, H, W).
     A layer with no candidate contributes the unpruned output as its
     hypothesis (aliased, not recomputed, and kept aliased downstream).
+
+    memo, when given, holds the entries of the previous pass and is
+    rewritten with this pass's.  A step whose row, layer and input are the
+    same objects as a kept entry's returns that entry's output instead of
+    running a conv.  The caller must drop the memo if it changes a layer or
+    an input array in place.
     """
     if len(candidates) != len(net):
         raise ValueError(
             f"{len(candidates)} candidates for {len(net)} layers"
         )
-    rows: list[list[np.ndarray]] = [[np.asarray(x, dtype=np.float64)]]
+    x = np.asarray(x, dtype=np.float64)
+    reuse: TreeMemo = {}
+    if memo:
+        _drop_stale(memo, net, candidates, x)  # before computing anything
+        reuse = memo.copy()
+        memo.clear()
+    rows: list[list[np.ndarray]] = [[x]]
     last = len(net) - 1
     for c, layer in enumerate(net.layers):
         prev = rows[-1]
         meas_point = point if c == last else "post"
 
         def step(lay: ConvLayer, inp: np.ndarray) -> np.ndarray:
-            out = conv_forward_linear(lay, inp)
-            if meas_point == "post":
-                out = apply_activation(lay.activation, out)
+            key = (c, meas_point, id(lay), id(inp))
+            hit = reuse.get(key)
+            if hit is not None:
+                out = hit[2]
+            else:
+                out = conv_forward_linear(lay, inp)
+                if meas_point == "post":
+                    out = apply_activation(lay.activation, out)
+            if memo is not None:
+                memo[key] = (lay, inp, out)
             return out
 
         row = [step(layer, prev[0])]
@@ -307,6 +368,11 @@ class _RoundLoop:
         # candidate cache: layer index -> (candidate, selection); valid while
         # that layer's weights and comp are untouched
         self.cache: dict[int, tuple[ConvLayer, SelectionResult]] = {}
+        # what scoring kept from the last round, reused only while the same
+        # layer objects are unchanged: hbgts's tree entries, and hbgs's
+        # layer index -> (layers before it, candidate, error)
+        self.tree: TreeMemo = {}
+        self.scores: dict[int, tuple[list[ConvLayer], ConvLayer, float]] = {}
 
     def reduction(self) -> float:
         return param_reduction(
@@ -345,6 +411,16 @@ class _RoundLoop:
         if finetune is not None:
             self.net = finetune(self.net, self.data)
             self.cache.clear()  # the hook may touch any layer
+            self.tree.clear()
+            self.scores.clear()
+        else:
+            # free the tree entries this commit made stale now, before the
+            # next round builds its candidates
+            cached = [
+                self.cache[c][0] if c in self.cache else None
+                for c in range(len(self.net))
+            ]
+            _drop_stale(self.tree, self.net, cached, self.data)
         self.rounds.append(
             PruneRound(
                 t=t,
@@ -380,7 +456,7 @@ def _run_greedy(
             return loop.result("partial")
         t += 1
         candidates = loop.candidates(eligible)
-        errors, passes, skips = score(loop.net, candidates, eligible)
+        errors, passes, skips = score(loop, candidates, eligible)
         if observer is not None:
             observer(t, loop.net, candidates, errors)
         chosen = int(np.argmin(errors))  # ties -> smallest layer index
@@ -395,14 +471,41 @@ def hbgs(
     finetune: FinetuneHook | None = None,
     observer: Observer | None = None,
 ) -> PruneResult:
-    """Greedy layer selection by layerwise candidate error."""
+    """Greedy layer selection by layerwise candidate error.
+
+    errors[c] depends only on the layers before c and on candidate c, so a
+    layer whose prefix and candidate are the same objects as last round
+    keeps last round's error and runs no candidate conv.
+    """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data, cfg.error_point)
+    zero_refs = [
+        sum(float(np.linalg.norm(per_layer[c])) == 0.0 for per_layer in refs)
+        for c in range(len(net))
+    ]
 
-    def score(current: Network, candidates, eligible):
+    def score(loop: _RoundLoop, candidates, eligible):
+        current, memo = loop.net, loop.scores
+        todo = list(candidates)
+        reused = {}
+        for c in eligible:
+            kept = memo.get(c)
+            if (
+                kept is not None
+                and kept[1] is candidates[c]
+                and all(a is b for a, b in zip(kept[0], current.layers[:c]))
+            ):
+                todo[c] = None
+                reused[c] = kept[2]
         errors, skips = relative_error_hbgs(
-            current, candidates, data, refs, cfg.error_point
+            current, todo, data, refs, cfg.error_point
         )
+        for c, err in reused.items():
+            errors[c] = err
+            skips += zero_refs[c]
+        memo.clear()
+        for c in eligible:
+            memo[c] = (current.layers[:c], candidates[c], errors[c])
         return errors, len(data), skips
 
     return _run_greedy(net, data, cfg, score, finetune, observer)
@@ -419,15 +522,17 @@ def hbgts(
 
     Every candidate hypothesis is carried to the final layer by one
     composite tree pass over the whole dataset per round, so a round costs
-    len(data) example passes rather than len(net) * len(data).
+    len(data) example passes rather than len(net) * len(data).  The pass
+    reuses last round's tree entries that the commit left unchanged.
     """
-    data = check_dataset(net, data)
 
-    def score(current: Network, candidates, eligible):
+    def score(loop: _RoundLoop, candidates, eligible):
         errors = np.where([c is not None for c in candidates], 0.0, math.inf)
-        buf = propagate_tree(current, candidates, data, cfg.error_point)
+        buf = propagate_tree(
+            loop.net, candidates, loop.data, cfg.error_point, loop.tree
+        )
         skips = _final_errors(buf, eligible, errors)
-        return errors, len(data), skips
+        return errors, len(loop.data), skips
 
     return _run_greedy(net, data, cfg, score, finetune, observer)
 
@@ -497,11 +602,8 @@ def run_selector(
     cfg: PruneConfig,
     finetune: FinetuneHook | None = None,
 ) -> PruneResult:
-    """Dispatch to the configured driver."""
-    if cfg.selector == "hbgs":
-        return hbgs(net, data, cfg, finetune)
-    if cfg.selector == "hbgts":
-        return hbgts(net, data, cfg, finetune)
-    if cfg.selector == "random":
-        return random_baseline(net, data, cfg, finetune)
-    return uniform_baseline(net, data, cfg)
+    """Dispatch to the configured driver; uniform takes no finetune hook."""
+    driver = DRIVERS[cfg.selector]
+    if cfg.selector == "uniform":
+        return driver(net, data, cfg)
+    return driver(net, data, cfg, finetune)

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -24,8 +25,8 @@ from convprune import (
     run_selector,
     uniform_baseline,
 )
-from convprune import search
-from convprune.nets import conv_forward_linear
+from convprune import nets, search
+from convprune.nets import conv_forward_linear, copy_layer
 from convprune.search import PropagationBuffer, finetune_identity
 
 from conftest import rand_net
@@ -195,8 +196,12 @@ def test_propagate_tree_batch_matches_per_example_trees(rng):
     assert buf.hypothesis_final(2) is buf.final_reference
 
 
-def per_example_tree(net, candidates, data, point="post"):
-    """The tree pass run one example at a time, rows stacked into a batch."""
+def per_example_tree(net, candidates, data, point="post", memo=None):
+    """The tree pass run one example at a time, rows stacked into a batch.
+
+    memo is accepted for propagate_tree's signature and ignored: every
+    round recomputes the whole tree.
+    """
     bufs = [propagate_tree(net, candidates, x, point) for x in data]
     rows = [
         [np.stack([b.rows[r][j] for b in bufs]) for j in range(len(row))]
@@ -387,6 +392,193 @@ def test_finetune_hook_edits_are_kept(rng):
         np.testing.assert_allclose(
             res.network.layers[-1].weights, factor * net.layers[-1].weights
         )
+
+
+# ------------------------------------------------------- incremental rounds
+
+
+def copy_net(net):
+    return Network([copy_layer(layer) for layer in net.layers])
+
+
+def assert_same_result(a, b):
+    assert a.status == b.status
+    assert a.rounds == b.rounds
+    for la, lb in zip(a.network.layers, b.network.layers):
+        assert la.weights.tobytes() == lb.weights.tobytes()
+        assert (la.comp is None) == (lb.comp is None)
+        if la.comp is not None:
+            assert la.comp.tobytes() == lb.comp.tobytes()
+
+
+@pytest.mark.parametrize("point", ["post", "pre"])
+@pytest.mark.parametrize("driver", [hbgs, hbgts])
+def test_incremental_rounds_equal_full_recompute(rng, driver, point):
+    # floor 4 makes layer 1 ineligible from the start and the others once
+    # they reach it, so aliased hypotheses are reused too
+    net = rand_net(rng, [3, 8, 4, 7, 6], k=3, activation="relu")
+    data = rng.standard_normal((3, 3, 5, 5))
+    data[1] = 0.0  # zero-norm references are skipped in reused layers too
+    cfg = PruneConfig(beta=0.6, alpha=2, floor=4, error_point=point)
+    incremental = driver(net, data, cfg)
+    # a finetune hook drops all reuse, so every round is recomputed in full
+    full = driver(net, data, cfg, finetune=finetune_identity)
+    assert incremental.status == "partial"
+    assert len({r.chosen_layer for r in incremental.rounds}) > 1
+    assert any(r.errors[1] == math.inf for r in incremental.rounds)
+    assert all(r.skipped_refs > 0 for r in incremental.rounds)
+    assert_same_result(incremental, full)
+
+
+def conv_log(monkeypatch):
+    """Record the layer object of every conv that search runs itself."""
+    calls = []
+
+    def counted(layer, x):
+        calls.append(layer)
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", counted)
+    return calls
+
+
+def convs_per_round(driver, net, data, cfg, calls):
+    """Per round, the layer position of each conv run while scoring it."""
+    rounds = []
+
+    def observer(t, current, candidates, errors):
+        where = {}
+        for c, layer in enumerate(current.layers):
+            where[id(layer)] = c
+            if candidates[c] is not None:
+                where[id(candidates[c])] = c
+        rounds.append([where[id(layer)] for layer in calls])
+        calls.clear()
+
+    res = driver(net, data, cfg, observer=observer)
+    return res, rounds
+
+
+def test_hbgts_round_after_commit_skips_the_unchanged_prefix(rng, monkeypatch):
+    net = rand_net(rng, [3, 10, 10, 10, 10], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 4, 4))
+    calls = conv_log(monkeypatch)
+    res, rounds = convs_per_round(
+        hbgts, net, data, PruneConfig(beta=0.3, alpha=2), calls
+    )
+    assert len(rounds) == len(res.rounds) > 3
+    assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
+    # a full tree: row c runs the chain, candidate c and c live hypotheses
+    assert len(rounds[0]) == sum(c + 2 for c in range(4)) == 14
+    for prev, positions in zip(res.rounds, rounds[1:]):
+        k = prev.chosen_layer
+        assert min(positions) == k
+        # row k: the new candidate and the hypotheses of layers < k; row
+        # c > k: the candidate and all c hypotheses, the chain being the
+        # committed hypothesis column of last round
+        assert len(positions) == (k + 1) + sum(c + 1 for c in range(k + 1, 4))
+
+
+def test_hbgts_commit_frees_stale_tree_entries(rng, monkeypatch):
+    net = rand_net(rng, [3, 10, 10, 10, 10], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 4, 4))
+    kept_at_candidates = []
+    build = search._RoundLoop.candidates
+
+    def candidates(loop, eligible):
+        kept_at_candidates.append(len(loop.tree))
+        return build(loop, eligible)
+
+    monkeypatch.setattr(search._RoundLoop, "candidates", candidates)
+    res = hbgts(net, data, PruneConfig(beta=0.3, alpha=2))
+    assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
+    assert kept_at_candidates[0] == 0
+    for prev, kept in zip(res.rounds, kept_at_candidates[1:]):
+        k = prev.chosen_layer
+        # the full rows of layers < k, and the committed column from row k on
+        assert kept == sum(c + 2 for c in range(k)) + (4 - k)
+
+
+def test_hbgs_round_after_commit_skips_unchanged_layers(rng, monkeypatch):
+    net = rand_net(rng, [3, 10, 10, 10, 10], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 4, 4))
+    calls = conv_log(monkeypatch)
+    res, rounds = convs_per_round(
+        hbgs, net, data, PruneConfig(beta=0.3, alpha=2), calls
+    )
+    assert len(rounds) == len(res.rounds) > 3
+    # the references, taken before round 1, and one candidate per layer
+    assert sorted(rounds[0]) == [c for c in range(4) for _ in range(2 * len(data))]
+    for prev, positions in zip(res.rounds, rounds[1:]):
+        k = prev.chosen_layer
+        assert sorted(positions) == [c for c in range(k, 4) for _ in data]
+
+
+def test_propagate_tree_memo_drops_stale_entries_before_computing(rng, monkeypatch):
+    net = rand_net(rng, [2, 5, 4, 3], k=3, activation="relu")
+    data = rng.standard_normal((2, 2, 4, 4))
+    candidates = all_candidates(net)
+    memo = {}
+    first = propagate_tree(net, candidates, data, memo=memo)
+    assert len(memo) == sum(c + 2 for c in range(3))
+    # a new layer 0 leaves only the candidate-0 column reusable
+    edited = net.with_layer(0, copy_layer(net.layers[0]))
+    stale = weakref.ref(first.final_reference)
+    del first
+    alive_at_first_conv = []
+
+    def conv(layer, x):
+        alive_at_first_conv.append(stale() is not None)
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", conv)
+    buf = propagate_tree(edited, candidates, data, memo=memo)
+    assert alive_at_first_conv[0] is False
+    assert len(memo) == 9
+    assert len(alive_at_first_conv) == 9 - 3
+    want = propagate_tree(edited, candidates, data)
+    for row, want_row in zip(buf.rows, want.rows):
+        for got, exp in zip(row, want_row):
+            np.testing.assert_array_equal(got, exp)
+
+
+def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
+    net = rand_net(rng, [2, 5, 4, 4, 3], k=3, activation="relu")
+    data = rng.standard_normal((3, 2, 4, 4))
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net)
+    candidates[2] = candidates[3] = None
+    chain = []
+
+    def conv(layer, x):
+        chain.append(layer)
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(nets, "conv_forward_linear", conv)
+    relative_error_hbgs(net, candidates, data, refs)
+    # the chain only feeds layer 1, the last one with a candidate
+    assert chain == [net.layers[0]] * len(data)
+
+
+@pytest.mark.parametrize("driver", [hbgs, hbgts])
+def test_finetune_edit_in_place_equals_edit_on_copy(rng, driver):
+    net = rand_net(rng, [3, 8, 7, 6], k=3, activation="relu")
+    data = rng.standard_normal((3, 3, 5, 5))
+    cfg = PruneConfig(beta=0.4, alpha=2)
+
+    def in_place(current, d):
+        current.layers[0].weights *= 0.75
+        return current
+
+    def on_copy(current, d):
+        first = current.layers[0]
+        edited = ConvLayer(first.weights * 0.75, comp=first.comp, activation=first.activation)
+        return current.with_layer(0, edited)
+
+    copied = driver(net, data, cfg, finetune=on_copy)
+    mutated = driver(copy_net(net), data, cfg, finetune=in_place)
+    assert len(copied.rounds) > 2
+    assert_same_result(mutated, copied)
 
 
 def test_uniform_baseline_counts(rng):
