@@ -21,6 +21,7 @@ from convprune import (
     planted_network,
     reduction_report,
     relative_output_error,
+    run_selector,
 )
 from convprune.search import DRIVERS
 
@@ -70,13 +71,13 @@ def main(argv=None) -> int:
               f"{'param%':>7} {'flops%':>7} {'rel.err':>10}  retained")
     print(header)
     print("-" * len(header))
-    for selector in ("hbgs", "hbgts", "uniform", "random"):
+    for selector in DRIVERS:
         methods = ("backward", "omp") if selector in ("hbgs", "hbgts") else ("backward",)
         for method in methods:
             cfg = PruneConfig(beta=args.beta, alpha=args.alpha,
                               selector=selector, fp_method=method,
                               floor=args.floor, seed=args.seed)
-            result = DRIVERS[selector](net, data, cfg)
+            result = run_selector(net, data, cfg)
             rep = reduction_report(before, count_stats(result.network, shape))
             err, _ = relative_output_error(result.network, net, data)
             retained = ",".join(str(v) for v in result.rounds[-1].retained)

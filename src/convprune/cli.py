@@ -15,7 +15,7 @@ import numpy as np
 from . import modelio, oracles
 from .metrics import count_stats, reduction_report
 from .nets import DimensionError
-from .search import PruneConfig, relative_output_error, run_selector
+from .search import DRIVERS, PruneConfig, relative_output_error, run_selector
 from .synth import make_dataset, planted_network
 
 EXIT_OK = 0
@@ -67,9 +67,7 @@ def build_parser() -> _Parser:
     prune.add_argument(
         "--method", choices=["fp-omp", "fp-backward"], default="fp-backward"
     )
-    prune.add_argument(
-        "--selector", choices=["hbgs", "hbgts", "uniform", "random"], default="hbgts"
-    )
+    prune.add_argument("--selector", choices=list(DRIVERS), default="hbgts")
     prune.add_argument("--alpha", type=int, default=5)
     prune.add_argument("--beta", type=float, required=True)
     prune.add_argument("--floor", type=int, default=1)

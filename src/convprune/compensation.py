@@ -5,8 +5,7 @@ convolution absorbs their contribution: each retained filter's mixing row is
 augmented by the reconstruction coefficients of every removed filter.  The
 composite layer output then differs from the original only through the
 reconstruction residuals, so a zero-residual selection prunes with no output
-change at all.  Both orientations are provided: rows of the map for output-
-channel pruning and columns for input-channel pruning.
+change at all.
 """
 from __future__ import annotations
 
@@ -22,8 +21,7 @@ from .selection import ConsistencyError, FilterMatrix, SelectionResult
 class CompensationUpdate:
     """Compensated 1x1 map plus the per-removed-filter residual vectors.
 
-    g_prime: (|retained|, width) in the output orientation, (rows, |retained|)
-        in the input orientation.
+    g_prime: (|retained|, width), the compensated rows of the map.
     epsilons: (n_removed, flat filter length); row r is the reconstruction
         residual of removed column removed[r].
     """
@@ -32,25 +30,6 @@ class CompensationUpdate:
     removed: tuple[int, ...]
     g_prime: np.ndarray
     epsilons: np.ndarray
-
-
-def _split(sel: SelectionResult, n: int):
-    kept = list(sel.retained)
-    if sel.coeffs.shape != (len(kept), n):
-        raise ConsistencyError(
-            f"selection coeffs {sel.coeffs.shape} do not match {len(kept)} retained "
-            f"of {n} columns"
-        )
-    if kept and not (0 <= kept[0] and kept[-1] < n):
-        raise ConsistencyError(f"retained indices {kept} out of range for n={n}")
-    dropped = list(sel.removed)
-    return kept, dropped
-
-
-def _residuals(filters: FilterMatrix, sel: SelectionResult, dropped: list[int]):
-    a = filters.matrix
-    kept = list(sel.retained)
-    return (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
 
 
 def compensate_output(
@@ -66,26 +45,19 @@ def compensate_output(
     n = sel.coeffs.shape[1]
     if g.ndim != 2 or g.shape[0] != n:
         raise ConsistencyError(f"map has shape {g.shape}, expected {n} rows")
-    kept, dropped = _split(sel, n)
+    kept = list(sel.retained)
+    if sel.coeffs.shape != (len(kept), n):
+        raise ConsistencyError(
+            f"selection coeffs {sel.coeffs.shape} do not match {len(kept)} retained "
+            f"of {n} columns"
+        )
+    if kept and not (0 <= kept[0] and kept[-1] < n):
+        raise ConsistencyError(f"retained indices {kept} out of range for n={n}")
+    dropped = list(sel.removed)
     g_prime = g[kept, :] + sel.coeffs[:, dropped] @ g[dropped, :]
-    return CompensationUpdate(
-        tuple(kept), tuple(dropped), g_prime, _residuals(filters, sel, dropped)
-    )
-
-
-def compensate_input(
-    g: np.ndarray, sel: SelectionResult, filters: FilterMatrix
-) -> CompensationUpdate:
-    """Column-wise mirror of compensate_output, for input-channel pruning."""
-    g = np.asarray(g, dtype=np.float64)
-    n = sel.coeffs.shape[1]
-    if g.ndim != 2 or g.shape[1] != n:
-        raise ConsistencyError(f"map has shape {g.shape}, expected {n} columns")
-    kept, dropped = _split(sel, n)
-    g_prime = g[:, kept] + g[:, dropped] @ sel.coeffs[:, dropped].T
-    return CompensationUpdate(
-        tuple(kept), tuple(dropped), g_prime, _residuals(filters, sel, dropped)
-    )
+    a = filters.matrix
+    epsilons = (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
+    return CompensationUpdate(tuple(kept), tuple(dropped), g_prime, epsilons)
 
 
 def identity_comp(layer: ConvLayer) -> np.ndarray:

@@ -20,8 +20,10 @@ very arrays and floats the same computation produced, so results are
 exactly those of a full recompute.  Reuse is dropped whenever a finetune
 hook runs, since a hook may change any layer, even in place.
 
-Uniform and random baselines share the same bookkeeping so their reports
-are directly comparable.
+Every driver runs the same round loop and commits through the same
+bookkeeping, so their reports are directly comparable: hbgs and hbgts take
+the argmin of their scores, the random baseline draws a seeded layer, and
+the uniform baseline commits all of its layers in a single round.
 """
 from __future__ import annotations
 
@@ -49,7 +51,6 @@ from .selection import (
     retained_count,
 )
 
-SELECTORS = ("hbgs", "hbgts", "uniform", "random")
 FP_METHODS = ("omp", "backward")
 ERROR_POINTS = ("post", "pre")
 
@@ -87,8 +88,8 @@ class PruneConfig:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.floor < 1:
             raise ValueError(f"floor must be >= 1, got {self.floor}")
-        if self.selector not in SELECTORS:
-            raise ValueError(f"selector must be one of {SELECTORS}")
+        if self.selector not in DRIVERS:
+            raise ValueError(f"selector must be one of {tuple(DRIVERS)}")
         if self.fp_method not in FP_METHODS:
             raise ValueError(f"fp_method must be one of {FP_METHODS}")
         if self.error_point not in ERROR_POINTS:
@@ -304,25 +305,20 @@ def propagate_tree(
     return PropagationBuffer(rows)
 
 
-def _final_errors(
-    buf: PropagationBuffer, eligible: list[int], errors: np.ndarray
-) -> int:
-    """Add each example's relative final-output errors, in dataset order.
+def _relative_sum(refs: np.ndarray, outs: np.ndarray) -> tuple[float, int]:
+    """Sum of per-example |ref - out| / |ref| in dataset order.
 
-    buf holds a batch; returns the number of examples skipped for a
-    zero-norm reference.
+    Zero-norm references are skipped; returns (total, number skipped).
     """
-    base = buf.final_reference
+    total = 0.0
     skips = 0
-    for i, ref in enumerate(base):
+    for ref, out in zip(refs, outs):
         ref_norm = float(np.linalg.norm(ref))
         if ref_norm == 0.0:
             skips += 1
             continue
-        for c in eligible:
-            diff = ref - buf.hypothesis_final(c)[i]
-            errors[c] += float(np.linalg.norm(diff)) / ref_norm
-    return skips
+        total += float(np.linalg.norm(ref - out)) / ref_norm
+    return total, skips
 
 
 def final_output(net: Network, data: np.ndarray, point: str = "post") -> np.ndarray:
@@ -342,21 +338,13 @@ def relative_output_error(
     summed in dataset order, and zero-norm references are skipped and counted.
     """
     data = check_dataset(reference, data)
-    refs = final_output(reference, data, point)
-    outs = final_output(net, data, point)
-    total = 0.0
-    skips = 0
-    for ref, out in zip(refs, outs):
-        ref_norm = float(np.linalg.norm(ref))
-        if ref_norm == 0.0:
-            skips += 1
-            continue
-        total += float(np.linalg.norm(ref - out)) / ref_norm
-    return total, skips
+    return _relative_sum(
+        final_output(reference, data, point), final_output(net, data, point)
+    )
 
 
 class _RoundLoop:
-    """Shared round bookkeeping for the greedy drivers."""
+    """Round bookkeeping shared by every driver."""
 
     def __init__(self, net: Network, data: np.ndarray, cfg: PruneConfig):
         self.cfg = cfg
@@ -399,15 +387,19 @@ class _RoundLoop:
     def commit(
         self,
         t: int,
-        chosen: int,
-        candidates: list[ConvLayer | None],
+        chosen: int | None,
+        pruned: dict[int, ConvLayer],
         errors: np.ndarray,
         passes: int,
         skips: int,
         finetune: FinetuneHook | None,
     ) -> None:
-        self.net = self.net.with_layer(chosen, candidates[chosen])
-        self.cache.pop(chosen, None)
+        """Swap in the pruned layers, run the hook, and record the round."""
+        self.net = Network(
+            [pruned.get(c, layer) for c, layer in enumerate(self.net.layers)]
+        )
+        for c in pruned:
+            self.cache.pop(c, None)
         if finetune is not None:
             self.net = finetune(self.net, self.data)
             self.cache.clear()  # the hook may touch any layer
@@ -439,15 +431,22 @@ class _RoundLoop:
 
 Observer = Callable[[int, Network, list[ConvLayer | None], np.ndarray], None]
 
+# pick(loop, t, eligible) -> (chosen layer, candidates, errors, passes, skips)
+Pick = Callable[
+    [_RoundLoop, int, list[int]],
+    tuple[int, list[ConvLayer | None], np.ndarray, int, int],
+]
 
-def _run_greedy(
+
+def _run_rounds(
     net: Network,
     data: np.ndarray,
     cfg: PruneConfig,
-    score,
+    pick: Pick,
     finetune: FinetuneHook | None,
     observer: Observer | None,
 ) -> PruneResult:
+    """Commit the picked layer's candidate each round until beta is reached."""
     loop = _RoundLoop(net, data, cfg)
     t = 0
     while loop.reduction() < cfg.beta:
@@ -455,13 +454,27 @@ def _run_greedy(
         if not eligible:
             return loop.result("partial")
         t += 1
-        candidates = loop.candidates(eligible)
-        errors, passes, skips = score(loop, candidates, eligible)
+        chosen, candidates, errors, passes, skips = pick(loop, t, eligible)
         if observer is not None:
             observer(t, loop.net, candidates, errors)
-        chosen = int(np.argmin(errors))  # ties -> smallest layer index
-        loop.commit(t, chosen, candidates, errors, passes, skips, finetune)
+        pruned = {chosen: candidates[chosen]}
+        loop.commit(t, chosen, pruned, errors, passes, skips, finetune)
     return loop.result("reached")
+
+
+def _argmin(score) -> Pick:
+    """A pick that scores every eligible candidate and takes the cheapest.
+
+    score(loop, candidates, eligible) returns (errors, passes, skips).
+    """
+
+    def pick(loop: _RoundLoop, t: int, eligible: list[int]):
+        candidates = loop.candidates(eligible)
+        errors, passes, skips = score(loop, candidates, eligible)
+        chosen = int(np.argmin(errors))  # ties -> smallest layer index
+        return chosen, candidates, errors, passes, skips
+
+    return pick
 
 
 def hbgs(
@@ -508,7 +521,7 @@ def hbgs(
             memo[c] = (current.layers[:c], candidates[c], errors[c])
         return errors, len(data), skips
 
-    return _run_greedy(net, data, cfg, score, finetune, observer)
+    return _run_rounds(net, data, cfg, _argmin(score), finetune, observer)
 
 
 def hbgts(
@@ -527,14 +540,17 @@ def hbgts(
     """
 
     def score(loop: _RoundLoop, candidates, eligible):
-        errors = np.where([c is not None for c in candidates], 0.0, math.inf)
         buf = propagate_tree(
             loop.net, candidates, loop.data, cfg.error_point, loop.tree
         )
-        skips = _final_errors(buf, eligible, errors)
+        errors = np.full(len(candidates), math.inf)
+        for c in eligible:  # same references, so the same skips for every c
+            errors[c], skips = _relative_sum(
+                buf.final_reference, buf.hypothesis_final(c)
+            )
         return errors, len(loop.data), skips
 
-    return _run_greedy(net, data, cfg, score, finetune, observer)
+    return _run_rounds(net, data, cfg, _argmin(score), finetune, observer)
 
 
 def random_baseline(
@@ -544,47 +560,31 @@ def random_baseline(
     finetune: FinetuneHook | None = None,
 ) -> PruneResult:
     """Rounds like the greedy drivers, but the layer is drawn at random."""
-    loop = _RoundLoop(net, data, cfg)
-    t = 0
-    while loop.reduction() < cfg.beta:
-        eligible = loop.eligible()
-        if not eligible:
-            return loop.result("partial")
-        t += 1
-        rng = np.random.default_rng([cfg.seed, t])
-        chosen = int(rng.choice(eligible))
-        candidates: list[ConvLayer | None] = [None] * len(loop.net)
-        layer = loop.net.layers[chosen]
-        n_prune = min(cfg.alpha, layer.out_channels - cfg.floor)
-        candidates[chosen] = candidate_for_layer(layer, n_prune, cfg.fp_method)[0]
+
+    def pick(loop: _RoundLoop, t: int, eligible: list[int]):
+        chosen = int(np.random.default_rng([cfg.seed, t]).choice(eligible))
         errors = np.full(len(loop.net), math.inf)
-        loop.commit(t, chosen, candidates, errors, 0, 0, finetune)
-    return loop.result("reached")
+        return chosen, loop.candidates([chosen]), errors, 0, 0
+
+    return _run_rounds(net, data, cfg, pick, finetune, None)
 
 
-def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
+def uniform_baseline(
+    net: Network,
+    data: np.ndarray,
+    cfg: PruneConfig,
+    finetune: FinetuneHook | None = None,
+) -> PruneResult:
     """Prune the same filter fraction (cfg.beta) from every layer at once."""
     loop = _RoundLoop(net, data, cfg)
-    pruned = loop.net
-    for c, layer in enumerate(pruned.layers):
+    pruned = {}
+    for c, layer in enumerate(net.layers):
         n = layer.out_channels
         n_keep = max(retained_count(n, cfg.beta), min(cfg.floor, n))
-        if n_keep >= n:
-            continue
-        cand, _ = candidate_for_layer(layer, n - n_keep, cfg.fp_method)
-        pruned = pruned.with_layer(c, cand)
-    loop.net = pruned
-    loop.rounds.append(
-        PruneRound(
-            t=1,
-            errors=tuple(math.inf for _ in pruned.layers),
-            chosen_layer=None,
-            retained=tuple(l.out_channels for l in pruned.layers),
-            param_reduction=loop.reduction(),
-            forward_passes=0,
-            skipped_refs=0,
-        )
-    )
+        if n_keep < n:
+            pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)[0]
+    errors = np.full(len(net), math.inf)
+    loop.commit(1, None, pruned, errors, 0, 0, finetune)
     return loop.result("reached")
 
 
@@ -602,8 +602,5 @@ def run_selector(
     cfg: PruneConfig,
     finetune: FinetuneHook | None = None,
 ) -> PruneResult:
-    """Dispatch to the configured driver; uniform takes no finetune hook."""
-    driver = DRIVERS[cfg.selector]
-    if cfg.selector == "uniform":
-        return driver(net, data, cfg)
-    return driver(net, data, cfg, finetune)
+    """Run the configured driver."""
+    return DRIVERS[cfg.selector](net, data, cfg, finetune)

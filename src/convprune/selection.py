@@ -45,35 +45,27 @@ class ConsistencyError(ValueError):
 class FilterMatrix:
     """Filters of one layer as matrix columns.
 
-    direction "output": column j is filter j flattened over
-    (in_channels, K, K), so the matrix is (K*K*m, n).  direction "input"
-    mirrors this across the channel axes: column i collects the kernel slices
-    that read input channel i, giving (K*K*n, m).
+    Column j is filter j flattened over (in_channels, K, K), so the matrix
+    is (K*K*m, n).
     """
 
     matrix: np.ndarray
     col_norms: np.ndarray
-    direction: str = "output"
 
     @property
     def n_cols(self) -> int:
         return self.matrix.shape[1]
 
 
-def flatten_filters(layer: ConvLayer, direction: str = "output") -> FilterMatrix:
+def flatten_filters(layer: ConvLayer) -> FilterMatrix:
     """Flatten a layer's K x K weights into a column-per-filter matrix."""
-    if direction == "output":
-        mat = layer.weights.reshape(layer.out_channels, -1).T
-    elif direction == "input":
-        mat = layer.weights.transpose(1, 0, 2, 3).reshape(layer.in_channels, -1).T
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
+    mat = layer.weights.reshape(layer.out_channels, -1).T
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms <= 1e-300):
         dead = int(np.argmin(norms))
         raise ConsistencyError(f"filter column {dead} has zero norm")
-    return FilterMatrix(mat, norms, direction)
+    return FilterMatrix(mat, norms)
 
 
 def default_ridge(a: np.ndarray) -> float:

@@ -156,6 +156,8 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("gen", "--wat") == 1
     assert run("prune", "--model", "m", "--data", "d", "--out", "o") == 1  # no --beta
     assert run("verify", "--suite", "nonsense") == 1
+    assert run("prune", "--model", "m", "--data", "d", "--out", "o",
+               "--beta", "0.3", "--selector", "greedy") == 1
     capsys.readouterr()
 
 

@@ -10,7 +10,6 @@ from convprune import (
     ConsistencyError,
     ConvLayer,
     apply_pruning,
-    compensate_input,
     compensate_output,
     conv_forward,
     flatten_filters,
@@ -78,18 +77,6 @@ def test_difference_equals_residual_response(rng):
     np.testing.assert_allclose(z - z_prime, want, rtol=1e-8, atol=1e-10)
 
 
-def test_input_is_transpose_of_output(rng):
-    layer = rand_layer(rng, 3, 5)
-    fm = flatten_filters(layer)
-    sel = fp_backward(fm, beta=0.4)
-    g = rng.standard_normal((5, 5))
-    out = compensate_output(g, sel, fm)
-    inp = compensate_input(g.T, sel, fm)
-    np.testing.assert_allclose(inp.g_prime, out.g_prime.T, rtol=1e-12, atol=0)
-    assert inp.retained == out.retained
-    np.testing.assert_allclose(inp.epsilons, out.epsilons)
-
-
 def test_rectangular_map_keeps_width(rng):
     layer = ConvLayer(rng.standard_normal((5, 2, 3, 3)), comp=rng.standard_normal((5, 9)))
     fm = flatten_filters(layer)
@@ -113,8 +100,6 @@ def test_compensate_shape_guards(rng):
     sel = fp_omp(fm, beta=0.5)
     with pytest.raises(ConsistencyError):
         compensate_output(np.eye(3), sel, fm)
-    with pytest.raises(ConsistencyError):
-        compensate_input(np.eye(3), sel, fm)
     with pytest.raises(ConsistencyError):
         compensate_output(np.ones(4), sel, fm)
 

@@ -581,6 +581,42 @@ def test_finetune_edit_in_place_equals_edit_on_copy(rng, driver):
     assert_same_result(mutated, copied)
 
 
+@pytest.mark.parametrize("selector", list(search.DRIVERS))
+def test_finetune_hook_runs_once_per_commit(rng, selector):
+    net = rand_net(rng, [2, 8, 6], k=3, activation="relu")
+    data = rng.standard_normal((2, 2, 4, 4))
+    cfg = PruneConfig(beta=0.35, alpha=2, selector=selector)
+    seen = []
+
+    def hook(current, d):
+        seen.append(tuple(l.out_channels for l in current.layers))
+        return current
+
+    hooked = run_selector(net, data, cfg, hook)
+    # the hook sees each committed network, once per round
+    assert seen == [r.retained for r in hooked.rounds]
+    assert (len(seen) == 1) == (selector == "uniform")
+    plain = run_selector(net, data, cfg)
+    assert_same_result(plain, run_selector(net, data, cfg, finetune_identity))
+    assert_same_result(plain, hooked)
+
+
+def test_random_baseline_builds_through_the_candidate_cache(rng, monkeypatch):
+    net = rand_net(rng, [2, 8, 8], k=3)
+    data = rng.standard_normal((2, 2, 4, 4))
+    asked = []
+    lookup = search._RoundLoop.candidates
+
+    def spy(loop, eligible):
+        asked.append(list(eligible))
+        return lookup(loop, eligible)
+
+    monkeypatch.setattr(search._RoundLoop, "candidates", spy)
+    res = random_baseline(net, data, PruneConfig(beta=0.4, alpha=3, selector="random"))
+    assert len(res.rounds) > 1
+    assert asked == [[r.chosen_layer] for r in res.rounds]
+
+
 def test_uniform_baseline_counts(rng):
     net = rand_net(rng, [3, 8, 6, 4], k=3)
     data = rng.standard_normal((2, 3, 4, 4))

@@ -39,19 +39,11 @@ def as_filter_matrix(mat: np.ndarray) -> FilterMatrix:
 
 def test_flatten_output_columns_are_filters(rng):
     w = rng.standard_normal((4, 3, 2, 2))
-    fm = flatten_filters(ConvLayer(w), direction="output")
+    fm = flatten_filters(ConvLayer(w))
     assert fm.matrix.shape == (3 * 2 * 2, 4)
     for j in range(4):
         np.testing.assert_array_equal(fm.matrix[:, j], w[j].ravel())
     np.testing.assert_allclose(fm.col_norms, np.linalg.norm(fm.matrix, axis=0))
-
-
-def test_flatten_input_columns_are_channel_slices(rng):
-    w = rng.standard_normal((4, 3, 2, 2))
-    fm = flatten_filters(ConvLayer(w), direction="input")
-    assert fm.matrix.shape == (4 * 2 * 2, 3)
-    for i in range(3):
-        np.testing.assert_array_equal(fm.matrix[:, i], w[:, i].ravel())
 
 
 def test_flatten_rejects_dead_filter(rng):
@@ -59,11 +51,6 @@ def test_flatten_rejects_dead_filter(rng):
     w[1] = 0.0
     with pytest.raises(ConsistencyError, match="column 1"):
         flatten_filters(ConvLayer(w))
-
-
-def test_flatten_unknown_direction(rng):
-    with pytest.raises(ValueError):
-        flatten_filters(ConvLayer(rng.standard_normal((2, 2, 1, 1))), direction="up")
 
 
 # ------------------------------------------------------------- least squares
