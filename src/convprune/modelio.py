@@ -65,43 +65,36 @@ def _layer_to_json(layer: ConvLayer) -> dict:
     return entry
 
 
+def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A flat JSON list of numbers as a float64 array of the given shape."""
+    flat = np.asarray(values, dtype=np.float64)
+    if flat.ndim != 1:
+        raise ModelIOError(f"{what} is not a flat list of numbers")
+    expected = math.prod(shape)
+    if flat.size != expected:
+        raise ModelIOError(f"{what} holds {flat.size} values, expected {expected}")
+    if not np.all(np.isfinite(flat)):
+        raise ModelIOError(f"{what} contains non-finite values")
+    return flat.reshape(shape)
+
+
 def _layer_from_json(entry: dict, index: int) -> ConvLayer:
     try:
         n = int(entry["out_channels"])
         m = int(entry["in_channels"])
         k = int(entry["kernel_size"])
         activation = entry["activation"]
-        flat = entry["weights"]
+        weights = _float_array(entry["weights"], (n, m, k, k), "weight list")
         comp_entry = entry.get("comp")
-    except (KeyError, TypeError) as exc:
-        raise ModelIOError(f"layer {index}: missing or malformed field ({exc})") from None
-    expected = n * m * k * k
-    if len(flat) != expected:
-        raise ModelIOError(
-            f"layer {index}: weights hold {len(flat)} values, expected {expected}"
-        )
-    weights = np.asarray(flat, dtype=np.float64).reshape(n, m, k, k)
-    comp = None
-    if comp_entry is not None:
-        try:
+        comp = None
+        if comp_entry is not None:
             rows, cols = (int(v) for v in comp_entry["shape"])
-            comp_flat = comp_entry["data"]
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ModelIOError(f"layer {index}: malformed comp map ({exc})") from None
-        if len(comp_flat) != rows * cols:
-            raise ModelIOError(
-                f"layer {index}: comp map holds {len(comp_flat)} values, "
-                f"expected {rows * cols}"
-            )
-        comp = np.asarray(comp_flat, dtype=np.float64).reshape(rows, cols)
-    if not np.all(np.isfinite(weights)) or (
-        comp is not None and not np.all(np.isfinite(comp))
-    ):
-        raise ModelIOError(f"layer {index}: non-finite values")
-    try:
+            comp = _float_array(comp_entry["data"], (rows, cols), "comp map")
         return ConvLayer(weights=weights, comp=comp, activation=activation)
-    except (DimensionError, ValueError) as exc:
+    except ModelIOError as exc:
         raise ModelIOError(f"layer {index}: {exc}") from None
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ModelIOError(f"layer {index}: missing or malformed field ({exc})") from None
 
 
 def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:

@@ -429,8 +429,6 @@ class _RoundLoop:
         return PruneResult(self.net, tuple(self.rounds), status)
 
 
-Observer = Callable[[int, Network, list[ConvLayer | None], np.ndarray], None]
-
 # pick(loop, t, eligible) -> (chosen layer, candidates, errors, passes, skips)
 Pick = Callable[
     [_RoundLoop, int, list[int]],
@@ -444,7 +442,6 @@ def _run_rounds(
     cfg: PruneConfig,
     pick: Pick,
     finetune: FinetuneHook | None,
-    observer: Observer | None,
 ) -> PruneResult:
     """Commit the picked layer's candidate each round until beta is reached."""
     loop = _RoundLoop(net, data, cfg)
@@ -455,8 +452,6 @@ def _run_rounds(
             return loop.result("partial")
         t += 1
         chosen, candidates, errors, passes, skips = pick(loop, t, eligible)
-        if observer is not None:
-            observer(t, loop.net, candidates, errors)
         pruned = {chosen: candidates[chosen]}
         loop.commit(t, chosen, pruned, errors, passes, skips, finetune)
     return loop.result("reached")
@@ -482,7 +477,6 @@ def hbgs(
     data: np.ndarray,
     cfg: PruneConfig,
     finetune: FinetuneHook | None = None,
-    observer: Observer | None = None,
 ) -> PruneResult:
     """Greedy layer selection by layerwise candidate error.
 
@@ -521,7 +515,7 @@ def hbgs(
             memo[c] = (current.layers[:c], candidates[c], errors[c])
         return errors, len(data), skips
 
-    return _run_rounds(net, data, cfg, _argmin(score), finetune, observer)
+    return _run_rounds(net, data, cfg, _argmin(score), finetune)
 
 
 def hbgts(
@@ -529,7 +523,6 @@ def hbgts(
     data: np.ndarray,
     cfg: PruneConfig,
     finetune: FinetuneHook | None = None,
-    observer: Observer | None = None,
 ) -> PruneResult:
     """Greedy layer selection by final-output candidate error.
 
@@ -550,7 +543,7 @@ def hbgts(
             )
         return errors, len(loop.data), skips
 
-    return _run_rounds(net, data, cfg, _argmin(score), finetune, observer)
+    return _run_rounds(net, data, cfg, _argmin(score), finetune)
 
 
 def random_baseline(
@@ -566,7 +559,7 @@ def random_baseline(
         errors = np.full(len(loop.net), math.inf)
         return chosen, loop.candidates([chosen]), errors, 0, 0
 
-    return _run_rounds(net, data, cfg, pick, finetune, None)
+    return _run_rounds(net, data, cfg, pick, finetune)
 
 
 def uniform_baseline(

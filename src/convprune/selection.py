@@ -1,13 +1,15 @@
 """Filter subset selection by sparse approximation.
 
-A layer's filter bank is flattened into a matrix whose columns are the
+A layer's filter bank is flattened into a matrix A whose columns are the
 filters; selection keeps the subset of columns that reconstructs all columns
-best in the least-squares sense.  Two selectors are provided: a greedy
-forward pass (orthogonal matching pursuit over the filters themselves) and a
+best in the least-squares sense.  Both selectors work on the Gram matrix
+C = A^T A, formed once per call: a greedy forward pass (orthogonal matching
+pursuit over the unit-normalized filters, one ridged solve per step) and a
 backward elimination pass that removes one filter at a time using a
 closed-form expression for the exact error increase of each removal, with
-the inverse Gram matrix and the least-squares coefficients held in Gram
-space and downdated by a rank-1 update after each removal.
+the inverse Gram matrix and the least-squares coefficients downdated by a
+rank-1 update after each removal.  Every Gram system goes through one ridged
+solve.
 """
 from __future__ import annotations
 
@@ -74,6 +76,22 @@ def default_ridge(a: np.ndarray) -> float:
     return RIDGE_SCALE * float(np.einsum("ij,ij->", a, a)) / n
 
 
+def _ridged_solve(gram: np.ndarray, rhs: np.ndarray, ridge: float) -> np.ndarray:
+    """Solve (gram + ridge I) X = rhs: the one Gram-system solve of this module."""
+    ridged = np.array(gram, dtype=np.float64)
+    ridged[np.diag_indices_from(ridged)] += ridge
+    try:
+        x = np.linalg.solve(ridged, rhs)
+    except np.linalg.LinAlgError:
+        raise SingularGramError(
+            f"Gram matrix singular at ridge {ridge:.3e} "
+            f"(condition ~ {np.linalg.cond(ridged):.3e})"
+        ) from None
+    if not np.all(np.isfinite(x)):
+        raise SingularGramError(f"non-finite solve at ridge {ridge:.3e}")
+    return x
+
+
 def least_squares_coeffs(
     a_sub: np.ndarray, b: np.ndarray, ridge: float | None = None
 ) -> np.ndarray:
@@ -89,18 +107,7 @@ def least_squares_coeffs(
         )
     if ridge is None:
         ridge = default_ridge(a_sub)
-    gram = a_sub.T @ a_sub
-    gram[np.diag_indices_from(gram)] += ridge
-    try:
-        coeffs = np.linalg.solve(gram, a_sub.T @ b)
-    except np.linalg.LinAlgError:
-        raise SingularGramError(
-            f"Gram matrix singular at ridge {ridge:.3e} "
-            f"(condition ~ {np.linalg.cond(gram):.3e})"
-        ) from None
-    if not np.all(np.isfinite(coeffs)):
-        raise SingularGramError(f"non-finite solve at ridge {ridge:.3e}")
-    return coeffs
+    return _ridged_solve(a_sub.T @ a_sub, a_sub.T @ b, ridge)
 
 
 def reconstruction_error(
@@ -159,26 +166,35 @@ def fp_omp(filters: FilterMatrix, beta: float) -> SelectionResult:
 
     Works on unit-normalized filter columns: repeatedly adds the unselected
     column with the largest total absolute correlation against the current
-    residuals of all columns, then refits every column on the selected set
-    and updates the residuals.  Ties go to the smallest index.  The reported
-    coefficients and errors are refit against the original unnormalized
-    columns.
+    residuals of all columns.  Only inner products are needed, so the pass
+    runs on C = Ahat^T Ahat, formed once: after a least-squares refit X on
+    the selected set S, the correlations are C - C[:, S] X.  Ties go to the
+    smallest index.  The reported coefficients and errors are refit against
+    the original unnormalized columns.
     """
     a = filters.matrix
-    n = filters.n_cols
-    t = retained_count(n, beta)
+    t = retained_count(filters.n_cols, beta)
     ahat = a / filters.col_norms
-    residual = ahat.copy()
+    gram = ahat.T @ ahat
     selected: list[int] = []
-    scores = np.empty(n)
-    while len(selected) < t:
-        np.abs(ahat.T @ residual).sum(axis=1, out=scores)
+    # correlations of every column with every residual, and scratch space:
+    # n x n temporaries made fresh each step fragment the heap and raise the
+    # resident peak of later work in the same process
+    corr = gram.copy()
+    work = np.empty_like(gram)
+    while True:
+        scores = np.abs(corr, out=work).sum(axis=1)
         scores[selected] = -np.inf
-        pick = int(np.argmax(scores))
-        selected.append(pick)
-        coeffs_hat = least_squares_coeffs(ahat[:, selected], ahat)
-        residual = ahat - ahat[:, selected] @ coeffs_hat
-    return _finish(a, selected, selected)
+        selected.append(int(np.argmax(scores)))
+        if len(selected) == t:
+            return _finish(a, selected, selected)
+        coeffs = _ridged_solve(
+            gram[np.ix_(selected, selected)],
+            gram[selected],
+            default_ridge(ahat[:, selected]),
+        )
+        np.matmul(gram[:, selected], coeffs, out=work)
+        np.subtract(gram, work, out=corr)
 
 
 @dataclass(frozen=True)
@@ -202,14 +218,7 @@ def gram_inverse(gram: np.ndarray, cross: np.ndarray, ridge: float) -> GramInver
         raise ConsistencyError(
             f"Gram block {gram.shape} does not match cross block {cross.shape}"
         )
-    ridged = gram + ridge * np.eye(size)
-    try:
-        inv = np.linalg.inv(ridged)
-    except np.linalg.LinAlgError:
-        raise SingularGramError(
-            f"Gram matrix singular at ridge {ridge:.3e} "
-            f"(condition ~ {np.linalg.cond(ridged):.3e})"
-        ) from None
+    inv = _ridged_solve(gram, np.eye(size), ridge)
     return GramInverse(inv, inv @ cross, ridge)
 
 

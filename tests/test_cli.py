@@ -185,6 +185,10 @@ def test_file_errors_exit_2(workspace, capsys):
     broken = tmp_path / "broken.json"
     broken.write_text("{ definitely not json")
     assert run("eval", "--model", str(broken), "--data", str(data)) == 2
+    doc = json.loads(model.read_text())
+    doc["layers"][0]["weights"] = 5
+    broken.write_text(json.dumps(doc))
+    assert run("eval", "--model", str(broken), "--data", str(data)) == 2
     assert run("eval", "--model", str(model), "--data", str(data),
                "--reference-model", str(tmp_path / "ghost.json")) == 2
     err = capsys.readouterr().err

@@ -136,6 +136,22 @@ def test_read_model_diagnostics(rng, tmp_path):
     with pytest.raises(ModelIOError):
         read_model(path)
 
+    for field, value in [
+        ("weights", 5),
+        ("weights", ["x"] * len(doc["layers"][0]["weights"])),
+        ("weights", [[v] for v in doc["layers"][0]["weights"]]),
+        ("weights", [[1.0, 2.0], 3.0]),
+        ("out_channels", "abc"),
+        ("comp", {"shape": [3, 3], "data": 5}),
+        ("comp", {"shape": [3, 3], "data": [[1.0] * 3] * 3}),
+        ("comp", {"shape": 3, "data": [1.0] * 9}),
+    ]:
+        broken = json.loads(json.dumps(doc))
+        broken["layers"][0][field] = value
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="layer 0"):
+            read_model(path)
+
     broken = json.loads(json.dumps(doc))
     broken["input_shape"] = [3, 4, 4]
     path.write_text(json.dumps(broken))

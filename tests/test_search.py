@@ -340,21 +340,6 @@ def test_partial_when_floor_blocks_budget(rng):
     assert all(layer.out_channels == 1 for layer in res.network.layers)
 
 
-def test_hbgts_observer_sees_every_round(rng):
-    net = rand_net(rng, [2, 6, 6], k=3)
-    data = rng.standard_normal((2, 2, 4, 4))
-    seen = []
-    res = hbgts(
-        net,
-        data,
-        PruneConfig(beta=0.3, alpha=2, selector="hbgts"),
-        observer=lambda t, cur, cands, errs: seen.append((t, errs.copy())),
-    )
-    assert [t for t, _ in seen] == [r.t for r in res.rounds]
-    for (_, errs), r in zip(seen, res.rounds):
-        np.testing.assert_array_equal(errs, np.asarray(r.errors))
-
-
 def test_finetune_hook_counts_and_cache_flush(rng):
     net = rand_net(rng, [2, 8, 6], k=3, activation="relu")
     data = rng.standard_normal((2, 2, 4, 4))
@@ -442,20 +427,23 @@ def conv_log(monkeypatch):
     return calls
 
 
-def convs_per_round(driver, net, data, cfg, calls):
+def convs_per_round(driver, net, data, cfg, calls, monkeypatch):
     """Per round, the layer position of each conv run while scoring it."""
     rounds = []
+    commit = search._RoundLoop.commit
 
-    def observer(t, current, candidates, errors):
+    def counted_commit(loop, *args):
         where = {}
-        for c, layer in enumerate(current.layers):
+        for c, layer in enumerate(loop.net.layers):
             where[id(layer)] = c
-            if candidates[c] is not None:
-                where[id(candidates[c])] = c
+            if c in loop.cache:
+                where[id(loop.cache[c][0])] = c
         rounds.append([where[id(layer)] for layer in calls])
         calls.clear()
+        commit(loop, *args)
 
-    res = driver(net, data, cfg, observer=observer)
+    monkeypatch.setattr(search._RoundLoop, "commit", counted_commit)
+    res = driver(net, data, cfg)
     return res, rounds
 
 
@@ -464,7 +452,7 @@ def test_hbgts_round_after_commit_skips_the_unchanged_prefix(rng, monkeypatch):
     data = rng.standard_normal((2, 3, 4, 4))
     calls = conv_log(monkeypatch)
     res, rounds = convs_per_round(
-        hbgts, net, data, PruneConfig(beta=0.3, alpha=2), calls
+        hbgts, net, data, PruneConfig(beta=0.3, alpha=2), calls, monkeypatch
     )
     assert len(rounds) == len(res.rounds) > 3
     assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
@@ -504,7 +492,7 @@ def test_hbgs_round_after_commit_skips_unchanged_layers(rng, monkeypatch):
     data = rng.standard_normal((2, 3, 4, 4))
     calls = conv_log(monkeypatch)
     res, rounds = convs_per_round(
-        hbgs, net, data, PruneConfig(beta=0.3, alpha=2), calls
+        hbgs, net, data, PruneConfig(beta=0.3, alpha=2), calls, monkeypatch
     )
     assert len(rounds) == len(res.rounds) > 3
     # the references, taken before round 1, and one candidate per layer

@@ -18,6 +18,7 @@ from convprune import (
     retained_count,
 )
 from convprune.selection import (
+    RIDGE_SCALE,
     default_ridge,
     downdate_gram,
     elimination_scores,
@@ -161,6 +162,54 @@ def test_fp_omp_beta_zero_keeps_everything(rng):
     assert sel.residual_error <= 1e-12 * np.sum(a * a)
 
 
+def data_space_omp(a: np.ndarray, t: int) -> list[int]:
+    """Reference OMP: refit every unit column on the selected ones and take
+    the column most correlated with all residuals, in data space."""
+    ahat = a / np.linalg.norm(a, axis=0)
+    residual = ahat
+    order: list[int] = []
+    while len(order) < t:
+        scores = np.abs(ahat.T @ residual).sum(axis=1)
+        scores[order] = -np.inf
+        order.append(int(np.argmax(scores)))
+        sub = ahat[:, order]
+        ridge = RIDGE_SCALE * np.sum(sub * sub) / len(order)
+        gram = sub.T @ sub + ridge * np.eye(len(order))
+        residual = ahat - sub @ np.linalg.solve(gram, sub.T @ ahat)
+    return order
+
+
+def omp_reference_banks():
+    for channels in (8, 16, 32, 48, 64):
+        for redundancy in (0.0, 0.25, 0.5, 0.75):
+            for seed in range(10):
+                net, _ = planted_network(1, channels, 3, redundancy, seed)
+                yield flatten_filters(net.layers[0]), redundancy > 0.0
+
+
+def test_fp_omp_matches_data_space_reference():
+    # past a planted bank's rank every residual is round-off, so the picks
+    # there may differ between BLAS builds while the error stays ~0
+    mismatches = []
+    for fm, planted in omp_reference_banks():
+        a = fm.matrix
+        n = a.shape[1]
+        rank = np.linalg.matrix_rank(a) if planted else n
+        # greedy picks do not depend on when the pass stops, so one
+        # reference run covers every beta
+        want = data_space_omp(a, retained_count(n, 0.2))
+        for beta in (0.2, 0.4, 0.6):
+            t = retained_count(n, beta)
+            sel = fp_omp(fm, beta)
+            if sel.order[:rank] != tuple(want[:min(t, rank)]):
+                mismatches.append((a.shape, beta, sel.order, want[:t]))
+            elif t > rank:
+                want_error = scratch_lstsq_error(a[:, sorted(want[:t])], a)
+                energy = float(np.sum(a * a))
+                assert abs(sel.residual_error - want_error) <= 1e-9 * energy
+    assert mismatches == []
+
+
 # ------------------------------------------------------- elimination scoring
 
 
@@ -203,6 +252,24 @@ def test_downdate_matches_fresh_inverse(rng):
     fresh = gram_state(rest, a, ridge=ridge)
     np.testing.assert_allclose(state.matrix, fresh.matrix, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(state.coeffs, fresh.coeffs, rtol=1e-9, atol=1e-12)
+
+
+def test_gram_inverse_singular_without_ridge(rng):
+    b = rng.standard_normal((8, 2))
+    dup = [0, 0, 1]  # column 0 twice: the block has two equal rows
+    gram = (b.T @ b)[np.ix_(dup, dup)]
+    with pytest.raises(SingularGramError):
+        gram_inverse(gram, gram, 0.0)
+
+
+def test_gram_inverse_equals_numpy_inverse(rng):
+    full = rng.standard_normal((20, 6))
+    duplicated = np.repeat(rng.standard_normal((9, 3)), 2, axis=1)
+    for a in (full, duplicated):
+        gram, ridge = a.T @ a, default_ridge(a)
+        state = gram_inverse(gram, gram, ridge)
+        want = np.linalg.inv(gram + ridge * np.eye(len(gram)))
+        assert state.matrix.tobytes() == want.tobytes()
 
 
 def test_downdate_guards(rng):
