@@ -1,9 +1,12 @@
 """On-disk formats: models (structured text), tensors (binary), prune reports.
 
 Models are JSON with flat row-major weight lists, so they stay readable and
-diffable; floats round-trip exactly through repr.  Tensors use a small
-binary container: magic "PKT1", little-endian u32 rank, u32 dims, then the
-float64 payload in row-major order.  Reports echo the run configuration,
+diffable; floats round-trip exactly through repr.  The writer streams each
+weight and comp array to the file in bounded chunks, so it never holds a
+Python float per weight, and the bytes are exactly those of one
+json.dump(doc, sort_keys=True, indent=1) of the whole model.  Tensors use a
+small binary container: magic "PKT1", little-endian u32 rank, u32 dims, then
+the float64 payload in row-major order.  Reports echo the run configuration,
 every committed round, and the per-round heatmap table as embedded CSV; the
 encoder is deterministic (sorted keys, no timestamps) so identical runs
 produce byte-identical files.
@@ -13,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import re
 import struct
 from dataclasses import dataclass
 
@@ -26,6 +30,11 @@ MODEL_SCHEMA_VERSION = 1
 REPORT_SCHEMA_VERSION = 1
 TENSOR_MAGIC = b"PKT1"
 _U32_MAX = 2**32 - 1
+# write_model streams every array _CHUNK values at a time.  In the document
+# json formats, an array is a one-string list: _ARRAY_SLOT and its index.
+_CHUNK = 4096
+_ARRAY_SLOT = "\0array"
+_SLOT_TEXT = re.compile(r'"\\u0000array(\d+)"')
 
 
 class ModelIOError(ValueError):
@@ -44,25 +53,40 @@ class TensorFormatError(ModelIOError):
 # models
 
 
-def _layer_to_json(layer: ConvLayer) -> dict:
-    if not np.all(np.isfinite(layer.weights)):
-        raise ModelIOError("layer weights contain non-finite values")
+def _layer_to_json(layer: ConvLayer, arrays: list[np.ndarray]) -> dict:
+    """A layer entry in which each array is a slot string (see write_model)."""
+
+    def slot(arr: np.ndarray, what: str) -> list[str]:
+        if not np.all(np.isfinite(arr)):
+            raise ModelIOError(f"layer {what} contains non-finite values")
+        arrays.append(arr)
+        return [f"{_ARRAY_SLOT}{len(arrays) - 1}"]
+
     entry = {
         "in_channels": layer.in_channels,
         "out_channels": layer.out_channels,
         "kernel_size": layer.kernel_size,
         "activation": layer.activation,
-        "weights": layer.weights.ravel().tolist(),
+        "weights": slot(layer.weights, "weight list"),
         "comp": None,
     }
     if layer.comp is not None:
-        if not np.all(np.isfinite(layer.comp)):
-            raise ModelIOError("layer comp map contains non-finite values")
         entry["comp"] = {
             "shape": list(layer.comp.shape),
-            "data": layer.comp.ravel().tolist(),
+            "data": slot(layer.comp, "comp map"),
         }
     return entry
+
+
+def _write_floats(fh, arr: np.ndarray, sep: str) -> None:
+    """arr's values in row-major order, as json.dump writes a list of floats.
+
+    Only _CHUNK Python floats exist at a time.
+    """
+    for start in range(0, arr.size, _CHUNK):
+        if start:
+            fh.write(sep)
+        fh.write(sep.join(map(repr, arr.flat[start : start + _CHUNK].tolist())))
 
 
 def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
@@ -78,17 +102,24 @@ def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
     return flat.reshape(shape)
 
 
+def _int_field(value, what: str) -> int:
+    """A JSON integer; a float, a numeric string or a bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ModelIOError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _layer_from_json(entry: dict, index: int) -> ConvLayer:
     try:
-        n = int(entry["out_channels"])
-        m = int(entry["in_channels"])
-        k = int(entry["kernel_size"])
+        n = _int_field(entry["out_channels"], "out_channels")
+        m = _int_field(entry["in_channels"], "in_channels")
+        k = _int_field(entry["kernel_size"], "kernel_size")
         activation = entry["activation"]
         weights = _float_array(entry["weights"], (n, m, k, k), "weight list")
         comp_entry = entry.get("comp")
         comp = None
         if comp_entry is not None:
-            rows, cols = (int(v) for v in comp_entry["shape"])
+            rows, cols = (_int_field(v, "comp shape entry") for v in comp_entry["shape"])
             comp = _float_array(comp_entry["data"], (rows, cols), "comp map")
         return ConvLayer(weights=weights, comp=comp, activation=activation)
     except ModelIOError as exc:
@@ -103,14 +134,20 @@ def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
         raise ModelIOError(
             f"input shape declares {m0} channels, network expects {net.in_channels}"
         )
+    arrays: list[np.ndarray] = []
     doc = {
         "schema_version": MODEL_SCHEMA_VERSION,
         "input_shape": [m0, h, w],
-        "layers": [_layer_to_json(layer) for layer in net.layers],
+        "layers": [_layer_to_json(layer, arrays) for layer in net.layers],
     }
+    # json formats everything but the arrays; each slot's values go where
+    # json put its string, one per line at the indent json gave that string
+    pieces = _SLOT_TEXT.split(json.dumps(doc, sort_keys=True, indent=1))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+        for text, index in zip(pieces[::2], pieces[1::2]):
+            fh.write(text)
+            _write_floats(fh, arrays[int(index)], "," + text[text.rindex("\n") :])
+        fh.write(pieces[-1] + "\n")
 
 
 def read_model(path) -> tuple[Network, tuple[int, int, int]]:
@@ -127,7 +164,7 @@ def read_model(path) -> tuple[Network, tuple[int, int, int]]:
             f"(expected {MODEL_SCHEMA_VERSION})"
         )
     try:
-        shape = tuple(int(v) for v in doc["input_shape"])
+        shape = tuple(_int_field(v, "input_shape entry") for v in doc["input_shape"])
         entries = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None

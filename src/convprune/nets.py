@@ -10,7 +10,7 @@ composite output width fixed while its K x K filter bank shrinks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -108,14 +108,6 @@ class Network:
         layers = list(self.layers)
         layers[index] = layer
         return Network(layers)
-
-
-def copy_layer(layer: ConvLayer) -> ConvLayer:
-    return replace(
-        layer,
-        weights=layer.weights.copy(),
-        comp=None if layer.comp is None else layer.comp.copy(),
-    )
 
 
 def apply_activation(kind: str, x: np.ndarray) -> np.ndarray:

@@ -189,6 +189,16 @@ def test_file_errors_exit_2(workspace, capsys):
     doc["layers"][0]["weights"] = 5
     broken.write_text(json.dumps(doc))
     assert run("eval", "--model", str(broken), "--data", str(data)) == 2
+    # shape fields must be JSON integers, not values int() would coerce
+    for edit in [
+        lambda d: d["layers"][0].update(out_channels=8.9),
+        lambda d: d["layers"][0].update(kernel_size="3"),
+        lambda d: d.update(input_shape=[8.7, "8", 8]),
+    ]:
+        doc = json.loads(model.read_text())
+        edit(doc)
+        broken.write_text(json.dumps(doc))
+        assert run("eval", "--model", str(broken), "--data", str(data)) == 2
     assert run("eval", "--model", str(model), "--data", str(data),
                "--reference-model", str(tmp_path / "ghost.json")) == 2
     err = capsys.readouterr().err

@@ -1,9 +1,11 @@
 """File formats: model JSON, binary tensors, prune reports."""
 from __future__ import annotations
 
+import io
 import json
 import math
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,6 +23,7 @@ from convprune import (
     build_report,
     heatmap_csv,
     hbgts,
+    modelio,
     read_dataset,
     read_model,
     read_report,
@@ -85,12 +88,83 @@ def test_model_file_layout(rng, tmp_path):
 
 
 def test_write_model_validates(rng, tmp_path):
+    path = tmp_path / "m.json"
     net = rand_net(rng, [2, 3], k=3)
     with pytest.raises(ModelIOError):
-        write_model(net, (3, 4, 4), tmp_path / "m.json")
-    bad = Network([ConvLayer(np.full((2, 2, 1, 1), np.inf))])
-    with pytest.raises(ModelIOError):
-        write_model(bad, (2, 4, 4), tmp_path / "m.json")
+        write_model(net, (3, 4, 4), path)
+    weights = rng.standard_normal((2, 2, 1, 1))
+    weights[1, 0, 0, 0] = np.inf
+    comp = rng.standard_normal((2, 2))
+    comp[0, 1] = np.nan
+    for bad in [
+        Network([ConvLayer(weights)]),
+        Network([ConvLayer(weights[::-1].copy(), comp=rng.standard_normal((2, 2)))]),
+        Network([ConvLayer(weights[:1].copy(), comp=comp[:1])]),
+        Network([rand_net(rng, [2, 2], k=1).layers[0], ConvLayer(weights)]),
+    ]:
+        with pytest.raises(ModelIOError, match="non-finite"):
+            write_model(bad, (2, 4, 4), path)
+        assert not path.exists()
+
+
+FIXTURE = Path(__file__).parent / "data" / "schema1_pruned.json"
+
+
+def test_schema1_fixture_rewrites_byte_for_byte(tmp_path):
+    """A pruned model with comp maps, written by the json.dump writer."""
+    net, shape = read_model(FIXTURE)
+    assert [layer.comp is None for layer in net.layers] == [False, False, True]
+    assert net.layers[0].comp.shape[0] < net.layers[0].comp.shape[1]
+    path = tmp_path / "again.json"
+    write_model(net, shape, path)
+    assert path.read_bytes() == FIXTURE.read_bytes()
+
+
+def reference_model_text(net: Network, input_shape) -> str:
+    """The model file as one json.dump of the whole document writes it."""
+    doc = {
+        "schema_version": 1,
+        "input_shape": list(input_shape),
+        "layers": [
+            {
+                "in_channels": layer.in_channels,
+                "out_channels": layer.out_channels,
+                "kernel_size": layer.kernel_size,
+                "activation": layer.activation,
+                "weights": layer.weights.ravel().tolist(),
+                "comp": None
+                if layer.comp is None
+                else {"shape": list(layer.comp.shape), "data": layer.comp.ravel().tolist()},
+            }
+            for layer in net.layers
+        ],
+    }
+    out = io.StringIO()
+    json.dump(doc, out, sort_keys=True, indent=1)
+    return out.getvalue() + "\n"
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+@pytest.mark.parametrize("with_comp", [False, True])
+def test_write_model_matches_json_dump(rng, tmp_path, offset, with_comp):
+    """Arrays of chunk-1, chunk and chunk+1 values, with edge-case floats."""
+    size = modelio._CHUNK + offset
+    special = [-0.0, 1.0, 5e-324, 1e300, 1e-5, 0.0, -1e-300, 123456789.0]
+    values = np.resize(np.array(special), size) * np.where(rng.random(size) < 0.5, 1, -1)
+    values[-3:] = rng.standard_normal(3)
+    comp = values[::-1].reshape(size, 1).copy() if with_comp else None
+    width = 1 if with_comp else size
+    net = Network(
+        [
+            ConvLayer(values.reshape(size, 1, 1, 1), comp=comp, activation="identity"),
+            # a non-contiguous bank is written in row-major order
+            ConvLayer(rng.standard_normal((2, 2, width, 3)).T),
+        ]
+    )
+    assert not net.layers[1].weights.flags.c_contiguous
+    path = tmp_path / "m.json"
+    write_model(net, (1, 5, 6), path)
+    assert path.read_text(encoding="utf-8") == reference_model_text(net, (1, 5, 6))
 
 
 def test_read_model_diagnostics(rng, tmp_path):
@@ -156,6 +230,43 @@ def test_read_model_diagnostics(rng, tmp_path):
     broken["input_shape"] = [3, 4, 4]
     path.write_text(json.dumps(broken))
     with pytest.raises(ModelIOError, match="declares 3 channels"):
+        read_model(path)
+
+    # shape fields are JSON integers: int() would truncate 3.9 to the right
+    # count and parse "3", so these read back as a valid model if coerced
+    for field, value in [
+        ("out_channels", 3.9),
+        ("in_channels", 2.0),
+        ("kernel_size", "3"),
+        ("comp", {"shape": [3, "3"], "data": [1.0] * 9}),
+        ("comp", {"shape": [3.0, 3], "data": [1.0] * 9}),
+    ]:
+        broken = json.loads(json.dumps(doc))
+        broken["layers"][0][field] = value
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="layer 0: .*must be an integer"):
+            read_model(path)
+    for shape in ([2.7, "4", 4], [2, 4.0, 4]):
+        broken = json.loads(json.dumps(doc))
+        broken["input_shape"] = shape
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="must be an integer"):
+            read_model(path)
+
+    # bool is an int subclass in Python, and True would pass for a 1
+    one = Network([ConvLayer(rng.standard_normal((1, 1, 1, 1)))])
+    write_model(one, (1, 4, 4), path)
+    one_doc = json.loads(path.read_text())
+    for field in ("out_channels", "in_channels", "kernel_size"):
+        broken = json.loads(json.dumps(one_doc))
+        broken["layers"][0][field] = True
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="layer 0: .*must be an integer"):
+            read_model(path)
+    broken = json.loads(json.dumps(one_doc))
+    broken["input_shape"] = [True, 4, 4]
+    path.write_text(json.dumps(broken))
+    with pytest.raises(ModelIOError, match="must be an integer"):
         read_model(path)
 
 

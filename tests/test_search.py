@@ -3,6 +3,7 @@ from __future__ import annotations
 
 import math
 import weakref
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from convprune import (
     uniform_baseline,
 )
 from convprune import nets, search
-from convprune.nets import conv_forward_linear, copy_layer
+from convprune.nets import conv_forward_linear
 from convprune.search import PropagationBuffer, finetune_identity
 
 from conftest import rand_net
@@ -380,6 +381,15 @@ def test_finetune_hook_edits_are_kept(rng):
 
 
 # ------------------------------------------------------- incremental rounds
+
+
+def copy_layer(layer):
+    """The same layer with its own copies of the arrays."""
+    return replace(
+        layer,
+        weights=layer.weights.copy(),
+        comp=None if layer.comp is None else layer.comp.copy(),
+    )
 
 
 def copy_net(net):
