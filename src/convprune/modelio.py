@@ -225,12 +225,14 @@ def read_tensor(path) -> np.ndarray:
 
 
 def read_dataset(path) -> np.ndarray:
-    """A dataset file is a rank-4 tensor: (examples, channels, H, W)."""
+    """A dataset file is a rank-4 tensor (examples, channels, H, W) of finite values."""
     data = read_tensor(path)
     if data.ndim != 4:
         raise TensorFormatError(
             f"dataset tensor must have rank 4, got rank {data.ndim}"
         )
+    if not np.all(np.isfinite(data)):
+        raise TensorFormatError("dataset tensor contains non-finite values")
     return data
 
 
@@ -304,13 +306,13 @@ def _round_to_json(r: PruneRound) -> dict:
 def _round_from_json(entry: dict) -> PruneRound:
     chosen = entry["chosen_layer"]
     return PruneRound(
-        t=int(entry["t"]),
+        t=_int_field(entry["t"], "t"),
         errors=tuple(math.inf if e is None else float(e) for e in entry["errors"]),
-        chosen_layer=None if chosen is None else int(chosen) - 1,
-        retained=tuple(int(v) for v in entry["retained"]),
+        chosen_layer=None if chosen is None else _int_field(chosen, "chosen_layer") - 1,
+        retained=tuple(_int_field(v, "retained entry") for v in entry["retained"]),
         param_reduction=float(entry["param_reduction"]),
-        forward_passes=int(entry["forward_passes"]),
-        skipped_refs=int(entry["skipped_refs"]),
+        forward_passes=_int_field(entry["forward_passes"], "forward_passes"),
+        skipped_refs=_int_field(entry["skipped_refs"], "skipped_refs"),
     )
 
 

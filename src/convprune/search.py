@@ -17,8 +17,7 @@ chain, so only the new layer-k candidate, the hypotheses of layers < k
 from row k on, and the candidates of layers > k run a conv; hbgs keeps the
 errors of layers < k and scores only layers >= k.  Reused values are the
 very arrays and floats the same computation produced, so results are
-exactly those of a full recompute.  Reuse is dropped whenever a finetune
-hook runs, since a hook may change any layer, even in place.
+exactly those of a full recompute.
 
 Every driver runs the same round loop and commits through the same
 bookkeeping, so their reports are directly comparable: hbgs and hbgts take
@@ -52,14 +51,6 @@ from .selection import (
 )
 
 FP_METHODS = ("omp", "backward")
-ERROR_POINTS = ("post", "pre")
-
-FinetuneHook = Callable[[Network, np.ndarray], Network]
-
-
-def finetune_identity(net: Network, data: np.ndarray) -> Network:
-    """Default finetune hook: leave the network untouched."""
-    return net
 
 
 @dataclass(frozen=True)
@@ -69,8 +60,8 @@ class PruneConfig:
     beta is the target cumulative parameter reduction for the round-based
     drivers and the per-layer filter fraction for the uniform baseline.
     alpha filters are pruned from the chosen layer each round, never below
-    floor retained filters.  error_point picks whether layer outputs are
-    compared after ("post") or before ("pre") the activation.
+    floor retained filters.  Layer outputs are compared after the
+    activation.
     """
 
     beta: float
@@ -79,9 +70,12 @@ class PruneConfig:
     fp_method: str = "backward"
     floor: int = 1
     seed: int = 0
-    error_point: str = "post"
 
     def __post_init__(self):
+        for name in ("alpha", "floor", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta}")
         if self.alpha < 1:
@@ -92,8 +86,6 @@ class PruneConfig:
             raise ValueError(f"selector must be one of {tuple(DRIVERS)}")
         if self.fp_method not in FP_METHODS:
             raise ValueError(f"fp_method must be one of {FP_METHODS}")
-        if self.error_point not in ERROR_POINTS:
-            raise ValueError(f"error_point must be one of {ERROR_POINTS}")
 
 
 @dataclass(frozen=True)
@@ -136,28 +128,21 @@ def candidate_for_layer(
     return apply_pruning(layer, sel, update), sel
 
 
-def _measured(layer: ConvLayer, x: np.ndarray, point: str) -> np.ndarray:
-    lin = conv_forward_linear(layer, x)
-    return lin if point == "pre" else apply_activation(layer.activation, lin)
+def _layer_output(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
+    """conv_forward, but through this module's conv_forward_linear, so a
+    wrapper of search.conv_forward_linear sees every scoring conv."""
+    return apply_activation(layer.activation, conv_forward_linear(layer, x))
 
 
-def collect_layer_outputs(
-    net: Network, data: np.ndarray, point: str = "post"
-) -> list[list[np.ndarray]]:
-    """Per-example, per-layer outputs at the chosen measurement point.
-
-    Propagation between layers always uses post-activation values; only the
-    recorded snapshot honours `point`.
-    """
+def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarray]]:
+    """Per-example, per-layer post-activation outputs."""
     refs = []
     for x in data:
         per_layer = []
         y = x
         for layer in net.layers:
-            lin = conv_forward_linear(layer, y)
-            post = apply_activation(layer.activation, lin)
-            per_layer.append(lin if point == "pre" else post)
-            y = post
+            y = _layer_output(layer, y)
+            per_layer.append(y)
         refs.append(per_layer)
     return refs
 
@@ -167,7 +152,6 @@ def relative_error_hbgs(
     candidates: list[ConvLayer | None],
     data: np.ndarray,
     refs: list[list[np.ndarray]],
-    point: str = "post",
 ) -> tuple[np.ndarray, int]:
     """Layerwise relative errors of all candidates in one pass per example.
 
@@ -189,7 +173,7 @@ def relative_error_hbgs(
                 if ref_norm == 0.0:
                     skips += 1
                 else:
-                    cand_out = _measured(candidates[c], y, point)
+                    cand_out = _layer_output(candidates[c], y)
                     errors[c] += float(np.linalg.norm(ref - cand_out)) / ref_norm
             if c < depth:
                 y = conv_forward(net.layers[c], y)
@@ -203,9 +187,9 @@ class PropagationBuffer:
     rows[c] (c = 1..C) holds c+1 tensors: rows[c][0] is the unpruned chain,
     rows[c][1] applies the layer-c candidate at layer c, and rows[c][j]
     (j >= 2) carries the layer-(c-j+1) candidate propagated forward through
-    unpruned layers.  rows[0] is the input.  At the final layer the stored
-    tensors honour the measurement point; interior rows are post-activation.
-    Every tensor has the leading batch axis of the input, if it had one.
+    unpruned layers.  rows[0] is the input; every other tensor is a
+    post-activation output.  Every tensor has the leading batch axis of the
+    input, if it had one.
     """
 
     rows: list[list[np.ndarray]] = field(default_factory=list)
@@ -221,8 +205,8 @@ class PropagationBuffer:
 
 
 # A tree entry: (layer, input, output) of one step, keyed by
-# (row, measurement point, id(layer), id(input)).  The entry holds the layer
-# and the input, so their ids stay unique while it is kept.
+# (row, id(layer), id(input)).  The entry holds the layer and the input, so
+# their ids stay unique while it is kept.
 TreeMemo = dict
 
 
@@ -252,7 +236,6 @@ def propagate_tree(
     net: Network,
     candidates: list[ConvLayer | None],
     x: np.ndarray,
-    point: str = "post",
     memo: TreeMemo | None = None,
 ) -> PropagationBuffer:
     """One composite forward pass carrying every candidate hypothesis.
@@ -278,20 +261,17 @@ def propagate_tree(
         reuse = memo.copy()
         memo.clear()
     rows: list[list[np.ndarray]] = [[x]]
-    last = len(net) - 1
     for c, layer in enumerate(net.layers):
         prev = rows[-1]
-        meas_point = point if c == last else "post"
 
         def step(lay: ConvLayer, inp: np.ndarray) -> np.ndarray:
-            key = (c, meas_point, id(lay), id(inp))
+            key = (c, id(lay), id(inp))
             hit = reuse.get(key)
             if hit is not None:
                 out = hit[2]
             else:
                 out = conv_forward_linear(lay, inp)
-                if meas_point == "post":
-                    out = apply_activation(lay.activation, out)
+                out = apply_activation(lay.activation, out)
             if memo is not None:
                 memo[key] = (lay, inp, out)
             return out
@@ -321,16 +301,16 @@ def _relative_sum(refs: np.ndarray, outs: np.ndarray) -> tuple[float, int]:
     return total, skips
 
 
-def final_output(net: Network, data: np.ndarray, point: str = "post") -> np.ndarray:
-    """Final-layer output of net on a batch, at the measurement point."""
+def final_output(net: Network, data: np.ndarray) -> np.ndarray:
+    """Final-layer post-activation output of net on a batch."""
     y = data
     for layer in net.layers[:-1]:
         y = conv_forward(layer, y)
-    return _measured(net.layers[-1], y, point)
+    return _layer_output(net.layers[-1], y)
 
 
 def relative_output_error(
-    net: Network, reference: Network, data: np.ndarray, point: str = "post"
+    net: Network, reference: Network, data: np.ndarray
 ) -> tuple[float, int]:
     """Dataset-summed relative error between two networks' final outputs.
 
@@ -338,9 +318,7 @@ def relative_output_error(
     summed in dataset order, and zero-norm references are skipped and counted.
     """
     data = check_dataset(reference, data)
-    return _relative_sum(
-        final_output(reference, data, point), final_output(net, data, point)
-    )
+    return _relative_sum(final_output(reference, data), final_output(net, data))
 
 
 class _RoundLoop:
@@ -392,27 +370,20 @@ class _RoundLoop:
         errors: np.ndarray,
         passes: int,
         skips: int,
-        finetune: FinetuneHook | None,
     ) -> None:
-        """Swap in the pruned layers, run the hook, and record the round."""
+        """Swap in the pruned layers and record the round."""
         self.net = Network(
             [pruned.get(c, layer) for c, layer in enumerate(self.net.layers)]
         )
         for c in pruned:
             self.cache.pop(c, None)
-        if finetune is not None:
-            self.net = finetune(self.net, self.data)
-            self.cache.clear()  # the hook may touch any layer
-            self.tree.clear()
-            self.scores.clear()
-        else:
-            # free the tree entries this commit made stale now, before the
-            # next round builds its candidates
-            cached = [
-                self.cache[c][0] if c in self.cache else None
-                for c in range(len(self.net))
-            ]
-            _drop_stale(self.tree, self.net, cached, self.data)
+        # free the tree entries this commit made stale now, before the next
+        # round builds its candidates
+        cached = [
+            self.cache[c][0] if c in self.cache else None
+            for c in range(len(self.net))
+        ]
+        _drop_stale(self.tree, self.net, cached, self.data)
         self.rounds.append(
             PruneRound(
                 t=t,
@@ -441,7 +412,6 @@ def _run_rounds(
     data: np.ndarray,
     cfg: PruneConfig,
     pick: Pick,
-    finetune: FinetuneHook | None,
 ) -> PruneResult:
     """Commit the picked layer's candidate each round until beta is reached."""
     loop = _RoundLoop(net, data, cfg)
@@ -453,7 +423,7 @@ def _run_rounds(
         t += 1
         chosen, candidates, errors, passes, skips = pick(loop, t, eligible)
         pruned = {chosen: candidates[chosen]}
-        loop.commit(t, chosen, pruned, errors, passes, skips, finetune)
+        loop.commit(t, chosen, pruned, errors, passes, skips)
     return loop.result("reached")
 
 
@@ -472,12 +442,7 @@ def _argmin(score) -> Pick:
     return pick
 
 
-def hbgs(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    finetune: FinetuneHook | None = None,
-) -> PruneResult:
+def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Greedy layer selection by layerwise candidate error.
 
     errors[c] depends only on the layers before c and on candidate c, so a
@@ -485,7 +450,7 @@ def hbgs(
     keeps last round's error and runs no candidate conv.
     """
     data = check_dataset(net, data)
-    refs = collect_layer_outputs(net, data, cfg.error_point)
+    refs = collect_layer_outputs(net, data)
     zero_refs = [
         sum(float(np.linalg.norm(per_layer[c])) == 0.0 for per_layer in refs)
         for c in range(len(net))
@@ -504,9 +469,7 @@ def hbgs(
             ):
                 todo[c] = None
                 reused[c] = kept[2]
-        errors, skips = relative_error_hbgs(
-            current, todo, data, refs, cfg.error_point
-        )
+        errors, skips = relative_error_hbgs(current, todo, data, refs)
         for c, err in reused.items():
             errors[c] = err
             skips += zero_refs[c]
@@ -515,15 +478,10 @@ def hbgs(
             memo[c] = (current.layers[:c], candidates[c], errors[c])
         return errors, len(data), skips
 
-    return _run_rounds(net, data, cfg, _argmin(score), finetune)
+    return _run_rounds(net, data, cfg, _argmin(score))
 
 
-def hbgts(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    finetune: FinetuneHook | None = None,
-) -> PruneResult:
+def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Greedy layer selection by final-output candidate error.
 
     Every candidate hypothesis is carried to the final layer by one
@@ -533,9 +491,7 @@ def hbgts(
     """
 
     def score(loop: _RoundLoop, candidates, eligible):
-        buf = propagate_tree(
-            loop.net, candidates, loop.data, cfg.error_point, loop.tree
-        )
+        buf = propagate_tree(loop.net, candidates, loop.data, memo=loop.tree)
         errors = np.full(len(candidates), math.inf)
         for c in eligible:  # same references, so the same skips for every c
             errors[c], skips = _relative_sum(
@@ -543,15 +499,10 @@ def hbgts(
             )
         return errors, len(loop.data), skips
 
-    return _run_rounds(net, data, cfg, _argmin(score), finetune)
+    return _run_rounds(net, data, cfg, _argmin(score))
 
 
-def random_baseline(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    finetune: FinetuneHook | None = None,
-) -> PruneResult:
+def random_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Rounds like the greedy drivers, but the layer is drawn at random."""
 
     def pick(loop: _RoundLoop, t: int, eligible: list[int]):
@@ -559,15 +510,10 @@ def random_baseline(
         errors = np.full(len(loop.net), math.inf)
         return chosen, loop.candidates([chosen]), errors, 0, 0
 
-    return _run_rounds(net, data, cfg, pick, finetune)
+    return _run_rounds(net, data, cfg, pick)
 
 
-def uniform_baseline(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    finetune: FinetuneHook | None = None,
-) -> PruneResult:
+def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Prune the same filter fraction (cfg.beta) from every layer at once."""
     loop = _RoundLoop(net, data, cfg)
     pruned = {}
@@ -577,7 +523,7 @@ def uniform_baseline(
         if n_keep < n:
             pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)[0]
     errors = np.full(len(net), math.inf)
-    loop.commit(1, None, pruned, errors, 0, 0, finetune)
+    loop.commit(1, None, pruned, errors, 0, 0)
     return loop.result("reached")
 
 
@@ -589,11 +535,6 @@ DRIVERS = {
 }
 
 
-def run_selector(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    finetune: FinetuneHook | None = None,
-) -> PruneResult:
+def run_selector(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Run the configured driver."""
-    return DRIVERS[cfg.selector](net, data, cfg, finetune)
+    return DRIVERS[cfg.selector](net, data, cfg)

@@ -13,6 +13,7 @@ from convprune import (
     read_model,
     read_report,
     read_tensor,
+    write_tensor,
 )
 from convprune.oracles import SuiteResult
 
@@ -201,14 +202,21 @@ def test_file_errors_exit_2(workspace, capsys):
         assert run("eval", "--model", str(broken), "--data", str(data)) == 2
     assert run("eval", "--model", str(model), "--data", str(data),
                "--reference-model", str(tmp_path / "ghost.json")) == 2
+    # calibration data must be finite, as model weights must
+    for bad in [np.nan, np.inf]:
+        tensor = read_tensor(data)
+        tensor[0, 0, 0, 0] = bad
+        nonfinite = tmp_path / "nonfinite.bin"
+        write_tensor(tensor, nonfinite)
+        assert run("prune", "--model", str(model), "--data", str(nonfinite),
+                   "--beta", "0.3", "--out", out) == 2
+        assert run("eval", "--model", str(model), "--data", str(nonfinite)) == 2
     err = capsys.readouterr().err
     assert "convprune" in err
 
 
 def test_data_model_mismatch_exits_2(workspace, tmp_path, capsys):
     _, model, _ = workspace
-    from convprune import write_tensor
-
     bad = tmp_path / "bad.bin"
     write_tensor(np.zeros((2, 3, 8, 8)), bad)  # 3 channels, model wants 8
     assert run("prune", "--model", str(model), "--data", str(bad),

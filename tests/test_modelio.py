@@ -381,6 +381,17 @@ def test_read_dataset_requires_rank4(rng, tmp_path):
         read_dataset(path)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_read_dataset_rejects_non_finite(rng, tmp_path, bad):
+    path = tmp_path / "d.bin"
+    data = rng.standard_normal((3, 2, 4, 4))
+    data[1, 0, 2, 3] = bad
+    write_tensor(data, path)  # the container itself holds any float64
+    np.testing.assert_array_equal(read_tensor(path), data)
+    with pytest.raises(TensorFormatError, match="non-finite"):
+        read_dataset(path)
+
+
 # ------------------------------------------------------------------ reports
 
 
@@ -458,7 +469,7 @@ def test_heatmap_csv_prints_inf(rng):
     assert lines[1].split(",")[2] == "inf"
 
 
-def test_read_report_diagnostics(tmp_path):
+def test_read_report_diagnostics(small_report, tmp_path):
     path = tmp_path / "r.json"
     path.write_text("[1, 2")
     with pytest.raises(ModelIOError, match="not a report file"):
@@ -469,6 +480,20 @@ def test_read_report_diagnostics(tmp_path):
     path.write_text(json.dumps({"schema_version": 1, "status": "reached"}))
     with pytest.raises(ModelIOError, match="malformed report"):
         read_report(path)
+    # integer fields must be JSON integers, not values int() would coerce
+    write_report(small_report, path)
+    good = json.loads(path.read_text())
+    for field in ["t", "chosen_layer", "retained", "forward_passes", "skipped_refs"]:
+        for bad in [1.9, 2.0, "5", True]:
+            doc = json.loads(json.dumps(good))
+            entry = doc["rounds"][0]
+            if field == "retained":
+                entry["retained"][0] = bad
+            else:
+                entry[field] = bad
+            path.write_text(json.dumps(doc))
+            with pytest.raises(ModelIOError, match=f"{field}.* must be an integer"):
+                read_report(path)
 
 
 # --------------------------------------------------------------------- fuzz

@@ -28,7 +28,7 @@ from convprune import (
 )
 from convprune import nets, search
 from convprune.nets import conv_forward_linear
-from convprune.search import PropagationBuffer, finetune_identity
+from convprune.search import PropagationBuffer
 
 from conftest import rand_net
 
@@ -69,36 +69,31 @@ def test_candidate_folds_existing_comp(rng):
 # ----------------------------------------------------------- layerwise error
 
 
-@pytest.mark.parametrize("point", ["post", "pre"])
-def test_collect_layer_outputs_matches_manual(rng, point):
+def test_collect_layer_outputs_matches_manual(rng):
     net = rand_net(rng, [2, 5, 4, 3], k=3, activation="relu")
     data = rng.standard_normal((3, 2, 5, 5))
-    refs = collect_layer_outputs(net, data, point)
+    refs = collect_layer_outputs(net, data)
     assert len(refs) == 3 and len(refs[0]) == 3
     for i, x in enumerate(data):
         y = x
         for c, layer in enumerate(net.layers):
-            lin = conv_forward_linear(layer, y)
             y = conv_forward(layer, y)
-            np.testing.assert_array_equal(refs[i][c], lin if point == "pre" else y)
+            np.testing.assert_array_equal(refs[i][c], y)
 
 
-@pytest.mark.parametrize("point", ["post", "pre"])
-def test_relative_error_hbgs_matches_naive(rng, point):
+def test_relative_error_hbgs_matches_naive(rng):
     net = rand_net(rng, [2, 6, 5, 4], k=3, activation="relu")
     data = rng.standard_normal((4, 2, 5, 5))
-    refs = collect_layer_outputs(net, data, point)
+    refs = collect_layer_outputs(net, data)
     candidates = all_candidates(net, n_prune=2)
-    errors, skips = relative_error_hbgs(net, candidates, data, refs, point)
+    errors, skips = relative_error_hbgs(net, candidates, data, refs)
     assert skips == 0
 
     want = np.zeros(3)
     for i, x in enumerate(data):
         inputs = [x] + forward_all_layers(net, x)[:-1]
         for c in range(3):
-            out = conv_forward_linear(candidates[c], inputs[c])
-            if point == "post":
-                out = np.maximum(out, 0.0)
+            out = np.maximum(conv_forward_linear(candidates[c], inputs[c]), 0.0)
             want[c] += np.linalg.norm(refs[i][c] - out) / np.linalg.norm(refs[i][c])
     np.testing.assert_allclose(errors, want, rtol=1e-12)
 
@@ -161,20 +156,17 @@ def test_propagate_tree_rows_match_definition(rng):
         )
 
 
-@pytest.mark.parametrize("point", ["post", "pre"])
-def test_tree_finals_match_swapped_networks(rng, point):
+def test_tree_finals_match_swapped_networks(rng):
     net = rand_net(rng, [2, 5, 4, 4, 3], k=3, activation="relu")
     x = rng.standard_normal((2, 5, 5))
     candidates = all_candidates(net, n_prune=2)
-    buf = propagate_tree(net, candidates, x, point)
+    buf = propagate_tree(net, candidates, x)
     for c in range(4):
         swapped = net.with_layer(c, candidates[c])
         y = x
         for layer in swapped.layers[:-1]:
             y = conv_forward(layer, y)
-        y = conv_forward_linear(swapped.layers[-1], y)
-        if point == "post":
-            y = np.maximum(y, 0.0)
+        y = np.maximum(conv_forward_linear(swapped.layers[-1], y), 0.0)
         np.testing.assert_allclose(
             buf.hypothesis_final(c), y, rtol=1e-12, atol=1e-12
         )
@@ -197,13 +189,13 @@ def test_propagate_tree_batch_matches_per_example_trees(rng):
     assert buf.hypothesis_final(2) is buf.final_reference
 
 
-def per_example_tree(net, candidates, data, point="post", memo=None):
+def per_example_tree(net, candidates, data, memo=None):
     """The tree pass run one example at a time, rows stacked into a batch.
 
     memo is accepted for propagate_tree's signature and ignored: every
     round recomputes the whole tree.
     """
-    bufs = [propagate_tree(net, candidates, x, point) for x in data]
+    bufs = [propagate_tree(net, candidates, x) for x in data]
     rows = [
         [np.stack([b.rows[r][j] for b in bufs]) for j in range(len(row))]
         for r, row in enumerate(bufs[0].rows)
@@ -341,45 +333,6 @@ def test_partial_when_floor_blocks_budget(rng):
     assert all(layer.out_channels == 1 for layer in res.network.layers)
 
 
-def test_finetune_hook_counts_and_cache_flush(rng):
-    net = rand_net(rng, [2, 8, 6], k=3, activation="relu")
-    data = rng.standard_normal((2, 2, 4, 4))
-    cfg = PruneConfig(beta=0.35, alpha=2, selector="hbgts")
-    calls = []
-
-    def hook(current, d):
-        calls.append(len(current))
-        return current
-
-    plain = hbgts(net, data, cfg)
-    hooked = hbgts(net, data, cfg, finetune=hook)
-    assert len(calls) == len(hooked.rounds)
-    # an identity hook only flushes the candidate cache; results are bit-equal
-    assert plain.rounds == hooked.rounds
-    for a, b in zip(plain.network.layers, hooked.network.layers):
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_array_equal(a.comp, b.comp)
-    same = hbgts(net, data, cfg, finetune=finetune_identity)
-    assert same.rounds == plain.rounds
-
-
-def test_finetune_hook_edits_are_kept(rng):
-    net = rand_net(rng, [2, 6, 4], k=3)
-    data = rng.standard_normal((2, 2, 4, 4))
-
-    def hook(current, d):
-        last = current.layers[-1]
-        bumped = ConvLayer(2.0 * last.weights, comp=last.comp, activation=last.activation)
-        return current.with_layer(len(current) - 1, bumped)
-
-    res = hbgs(net, data, PruneConfig(beta=0.2, alpha=2, selector="hbgs"), finetune=hook)
-    factor = 2.0 ** len(res.rounds)
-    if res.rounds[-1].chosen_layer != len(net) - 1:
-        np.testing.assert_allclose(
-            res.network.layers[-1].weights, factor * net.layers[-1].weights
-        )
-
-
 # ------------------------------------------------------- incremental rounds
 
 
@@ -406,18 +359,26 @@ def assert_same_result(a, b):
             assert la.comp.tobytes() == lb.comp.tobytes()
 
 
-@pytest.mark.parametrize("point", ["post", "pre"])
 @pytest.mark.parametrize("driver", [hbgs, hbgts])
-def test_incremental_rounds_equal_full_recompute(rng, driver, point):
+def test_incremental_rounds_equal_full_recompute(rng, driver, monkeypatch):
     # floor 4 makes layer 1 ineligible from the start and the others once
     # they reach it, so aliased hypotheses are reused too
     net = rand_net(rng, [3, 8, 4, 7, 6], k=3, activation="relu")
     data = rng.standard_normal((3, 3, 5, 5))
     data[1] = 0.0  # zero-norm references are skipped in reused layers too
-    cfg = PruneConfig(beta=0.6, alpha=2, floor=4, error_point=point)
+    cfg = PruneConfig(beta=0.6, alpha=2, floor=4)
     incremental = driver(net, data, cfg)
-    # a finetune hook drops all reuse, so every round is recomputed in full
-    full = driver(net, data, cfg, finetune=finetune_identity)
+    commit = search._RoundLoop.commit
+
+    def forgetful_commit(loop, *args):
+        commit(loop, *args)
+        loop.cache.clear()
+        loop.tree.clear()
+        loop.scores.clear()
+
+    # with nothing kept across a commit, every round is recomputed in full
+    monkeypatch.setattr(search._RoundLoop, "commit", forgetful_commit)
+    full = driver(net, data, cfg)
     assert incremental.status == "partial"
     assert len({r.chosen_layer for r in incremental.rounds}) > 1
     assert any(r.errors[1] == math.inf for r in incremental.rounds)
@@ -558,47 +519,6 @@ def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
     assert chain == [net.layers[0]] * len(data)
 
 
-@pytest.mark.parametrize("driver", [hbgs, hbgts])
-def test_finetune_edit_in_place_equals_edit_on_copy(rng, driver):
-    net = rand_net(rng, [3, 8, 7, 6], k=3, activation="relu")
-    data = rng.standard_normal((3, 3, 5, 5))
-    cfg = PruneConfig(beta=0.4, alpha=2)
-
-    def in_place(current, d):
-        current.layers[0].weights *= 0.75
-        return current
-
-    def on_copy(current, d):
-        first = current.layers[0]
-        edited = ConvLayer(first.weights * 0.75, comp=first.comp, activation=first.activation)
-        return current.with_layer(0, edited)
-
-    copied = driver(net, data, cfg, finetune=on_copy)
-    mutated = driver(copy_net(net), data, cfg, finetune=in_place)
-    assert len(copied.rounds) > 2
-    assert_same_result(mutated, copied)
-
-
-@pytest.mark.parametrize("selector", list(search.DRIVERS))
-def test_finetune_hook_runs_once_per_commit(rng, selector):
-    net = rand_net(rng, [2, 8, 6], k=3, activation="relu")
-    data = rng.standard_normal((2, 2, 4, 4))
-    cfg = PruneConfig(beta=0.35, alpha=2, selector=selector)
-    seen = []
-
-    def hook(current, d):
-        seen.append(tuple(l.out_channels for l in current.layers))
-        return current
-
-    hooked = run_selector(net, data, cfg, hook)
-    # the hook sees each committed network, once per round
-    assert seen == [r.retained for r in hooked.rounds]
-    assert (len(seen) == 1) == (selector == "uniform")
-    plain = run_selector(net, data, cfg)
-    assert_same_result(plain, run_selector(net, data, cfg, finetune_identity))
-    assert_same_result(plain, hooked)
-
-
 def test_random_baseline_builds_through_the_candidate_cache(rng, monkeypatch):
     net = rand_net(rng, [2, 8, 8], k=3)
     data = rng.standard_normal((2, 2, 4, 4))
@@ -696,8 +616,10 @@ def test_prune_config_validation():
         PruneConfig(beta=0.5, selector="greedy")
     with pytest.raises(ValueError):
         PruneConfig(beta=0.5, fp_method="lasso")
-    with pytest.raises(ValueError):
-        PruneConfig(beta=0.5, error_point="mid")
+    for bad in [1.5, 2.0, "3", True, None]:
+        for name in ("alpha", "floor", "seed"):
+            with pytest.raises(ValueError, match=f"{name} must be an integer"):
+                PruneConfig(beta=0.5, **{name: bad})
 
 
 def test_drivers_validate_data_shape(rng):
@@ -719,34 +641,19 @@ def test_relative_output_error_identity(rng):
     assert skips == 2
 
 
-@pytest.mark.parametrize("point", ["post", "pre"])
-def test_relative_output_error_matches_per_example_sum(rng, point):
+def test_relative_output_error_matches_per_example_sum(rng):
     net = rand_net(rng, [2, 6, 5, 4], k=3, activation="relu")
     pruned = uniform_baseline(net, rng.standard_normal((3, 2, 4, 4)),
                               PruneConfig(beta=0.5, selector="uniform")).network
     data = rng.standard_normal((4, 2, 4, 4))
     data[1] = 0.0
-    total, skips = relative_output_error(pruned, net, data, point)
+    total, skips = relative_output_error(pruned, net, data)
     want = 0.0
     for x in data[[0, 2, 3]]:
         ref, out = x, x
         for c in range(len(net)):
-            last = point == "pre" and c == len(net) - 1
-            step = conv_forward_linear if last else conv_forward
-            ref, out = step(net.layers[c], ref), step(pruned.layers[c], out)
+            ref = conv_forward(net.layers[c], ref)
+            out = conv_forward(pruned.layers[c], out)
         want += np.linalg.norm(ref - out) / np.linalg.norm(ref)
     assert skips == 1
     assert total == pytest.approx(want, rel=1e-12)
-
-
-def test_error_point_changes_scores(rng):
-    net = rand_net(rng, [2, 8, 6], k=3, activation="relu")
-    data = rng.standard_normal((2, 2, 4, 4))
-    post = hbgts(net, data, PruneConfig(beta=0.2, alpha=2, error_point="post"))
-    pre = hbgts(net, data, PruneConfig(beta=0.2, alpha=2, error_point="pre"))
-    assert post.rounds[0].errors != pre.rounds[0].errors
-    # with no nonlinearity the measurement point is irrelevant
-    lin = rand_net(rng, [2, 8, 6], k=3, activation="identity")
-    post_l = hbgts(lin, data, PruneConfig(beta=0.2, alpha=2, error_point="post"))
-    pre_l = hbgts(lin, data, PruneConfig(beta=0.2, alpha=2, error_point="pre"))
-    assert post_l.rounds == pre_l.rounds
