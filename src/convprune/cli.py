@@ -40,6 +40,22 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(f"{self.prog}: error: {message}")
 
 
+def _int_at_least(low: int):
+    """argparse type: an integer no smaller than low."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse names it in "invalid int value: 'x'"
+    return parse
+
+
+_SEED = _int_at_least(0)
+
+
 def build_parser() -> _Parser:
     parser = _Parser(prog="convprune", description=__doc__)
     sub = parser.add_subparsers(dest="command", parser_class=_Parser)
@@ -57,7 +73,7 @@ def build_parser() -> _Parser:
         "a single value or comma-separated per-layer values",
     )
     gen.add_argument("--examples", type=int, default=8)
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=_SEED, default=0)
     gen.add_argument("--out-model", required=True)
     gen.add_argument("--out-data", required=True)
 
@@ -71,7 +87,7 @@ def build_parser() -> _Parser:
     prune.add_argument("--alpha", type=int, default=5)
     prune.add_argument("--beta", type=float, required=True)
     prune.add_argument("--floor", type=int, default=1)
-    prune.add_argument("--seed", type=int, default=0)
+    prune.add_argument("--seed", type=_SEED, default=0)
     prune.add_argument("--out", required=True)
     prune.add_argument("--report", default=None)
 
@@ -90,8 +106,8 @@ def build_parser() -> _Parser:
         choices=sorted(oracles.SUITES) + ["all"],
         default="all",
     )
-    verify.add_argument("--seed", type=int, default=None)
-    verify.add_argument("--trials", type=int, default=None)
+    verify.add_argument("--seed", type=_SEED, default=None)
+    verify.add_argument("--trials", type=_int_at_least(1), default=None)
     return parser
 
 

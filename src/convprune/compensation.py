@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .nets import ConvLayer
-from .selection import ConsistencyError, FilterMatrix, SelectionResult
+from .selection import ConsistencyError, SelectionResult
 
 
 @dataclass(frozen=True)
@@ -23,22 +23,21 @@ class CompensationUpdate:
 
     g_prime: (|retained|, width), the compensated rows of the map.
     epsilons: (n_removed, flat filter length); row r is the reconstruction
-        residual of removed column removed[r].
+        residual of the selection's removed column sel.removed[r].
     """
 
-    retained: tuple[int, ...]
-    removed: tuple[int, ...]
     g_prime: np.ndarray
     epsilons: np.ndarray
 
 
 def compensate_output(
-    g: np.ndarray, sel: SelectionResult, filters: FilterMatrix
+    g: np.ndarray, sel: SelectionResult, a: np.ndarray
 ) -> CompensationUpdate:
     """Fold removed output channels into the retained rows of the 1x1 map.
 
     Row l of the result is g[retained[l], :] plus, for every removed channel
-    j, coeffs[l, j] * g[j, :].  The map keeps all of its columns, so the
+    j, coeffs[l, j] * g[j, :].  a is the layer's filter matrix, as
+    flatten_filters returns it.  The map keeps all of its columns, so the
     composite output width is unchanged.
     """
     g = np.asarray(g, dtype=np.float64)
@@ -55,9 +54,8 @@ def compensate_output(
         raise ConsistencyError(f"retained indices {kept} out of range for n={n}")
     dropped = list(sel.removed)
     g_prime = g[kept, :] + sel.coeffs[:, dropped] @ g[dropped, :]
-    a = filters.matrix
     epsilons = (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
-    return CompensationUpdate(tuple(kept), tuple(dropped), g_prime, epsilons)
+    return CompensationUpdate(g_prime, epsilons)
 
 
 def identity_comp(layer: ConvLayer) -> np.ndarray:
@@ -73,8 +71,11 @@ def apply_pruning(
     The composite output width is preserved, so downstream layers are
     untouched.
     """
-    if sel.retained != update.retained:
-        raise ConsistencyError("selection and compensation disagree on retained set")
+    if update.g_prime.shape[0] != len(sel.retained):
+        raise ConsistencyError(
+            f"compensated map has {update.g_prime.shape[0]} rows for "
+            f"{len(sel.retained)} retained filters"
+        )
     if len(sel.retained) < 1:
         raise ConsistencyError("cannot prune away every filter")
     if sel.coeffs.shape[1] != layer.out_channels:

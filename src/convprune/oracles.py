@@ -15,7 +15,6 @@ from .compensation import apply_pruning, compensate_output
 from .nets import ConvLayer, Network, conv_forward, forward_all_layers
 from .search import candidate_for_layer, propagate_tree
 from .selection import (
-    FilterMatrix,
     _argmin_tied,
     default_ridge,
     downdate_gram,
@@ -110,10 +109,10 @@ def compensation_suite(seed: int = 20240802, trials: int = 50) -> SuiteResult:
         g = rng.standard_normal((n, width))
         layer = ConvLayer(weights=weights, comp=g, activation="identity")
         n_prune = int(rng.integers(1, min(3, n - 1) + 1))
-        filters = flatten_filters(layer)
+        a = flatten_filters(layer)
         select = fp_omp if trial % 2 == 0 else fp_backward
-        sel = select(filters, n_prune / n)
-        update = compensate_output(g, sel, filters)
+        sel = select(a, n_prune / n)
+        update = compensate_output(g, sel, a)
         pruned = apply_pruning(layer, sel, update)
         worst = 0.0
         for _ in range(5):
@@ -122,7 +121,7 @@ def compensation_suite(seed: int = 20240802, trials: int = 50) -> SuiteResult:
             z_pruned = conv_forward(pruned, x)
             # scratch RHS: residual filters convolved with x, mixed by g rows
             rhs = np.zeros_like(z)
-            for r, removed in enumerate(update.removed):
+            for r, removed in enumerate(sel.removed):
                 eps_layer = ConvLayer(
                     weights=update.epsilons[r].reshape(1, m, k, k),
                     activation="identity",
@@ -149,7 +148,7 @@ def omp_suite(seed: int = 20240803, trials: int = 30) -> SuiteResult:
     for trial in range(trials):
         rng = np.random.default_rng([seed, trial])
         a = rng.standard_normal((16, 8))
-        sel = fp_omp(FilterMatrix(a, np.linalg.norm(a, axis=0)), beta=0.5)
+        sel = fp_omp(a, beta=0.5)
         best = min(
             lstsq_error(a[:, list(subset)], a) for subset in combinations(range(8), 4)
         )
@@ -173,7 +172,7 @@ def backward_suite(seed: int = 20240804, trials: int = 50) -> SuiteResult:
         rows = int(rng.integers(n + 2, 41))
         a = _well_conditioned(rng, rows, n)
         t = int(rng.integers(1, n))
-        sel = fp_backward(FilterMatrix(a, np.linalg.norm(a, axis=0)), beta=1.0 - t / n)
+        sel = fp_backward(a, beta=1.0 - t / n)
         scale = float(np.einsum("ij,ij->", a, a)) / n
         keep = list(range(n))
         gram, ridge = a.T @ a, default_ridge(a)

@@ -14,10 +14,10 @@ Rounds are incremental.  A commit at layer k changes only layer k, so the
 next round reuses what it left unchanged: hbgts keeps the tree entries of
 layers < k and takes the committed hypothesis column as its new unpruned
 chain, so only the new layer-k candidate, the hypotheses of layers < k
-from row k on, and the candidates of layers > k run a conv; hbgs keeps the
-errors of layers < k and scores only layers >= k.  Reused values are the
-very arrays and floats the same computation produced, so results are
-exactly those of a full recompute.
+from row k on, and the candidates of layers > k run a conv; hbgs takes the
+errors of layers < k from the last round's record and scores only layers
+>= k.  Reused values are the very arrays and floats the same computation
+produced, so results are exactly those of a full recompute.
 
 Every driver runs the same round loop and commits through the same
 bookkeeping, so their reports are directly comparable: hbgs and hbgts take
@@ -82,6 +82,8 @@ class PruneConfig:
             raise ValueError(f"alpha must be >= 1, got {self.alpha}")
         if self.floor < 1:
             raise ValueError(f"floor must be >= 1, got {self.floor}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.selector not in DRIVERS:
             raise ValueError(f"selector must be one of {tuple(DRIVERS)}")
         if self.fp_method not in FP_METHODS:
@@ -120,11 +122,11 @@ def candidate_for_layer(
     n = layer.out_channels
     if not 1 <= n_prune < n:
         raise ValueError(f"cannot prune {n_prune} of {n} filters")
-    filters = flatten_filters(layer)
+    a = flatten_filters(layer)
     select = fp_omp if fp_method == "omp" else fp_backward
-    sel = select(filters, n_prune / n)
+    sel = select(a, n_prune / n)
     g = layer.comp if layer.comp is not None else identity_comp(layer)
-    update = compensate_output(g, sel, filters)
+    update = compensate_output(g, sel, a)
     return apply_pruning(layer, sel, update), sel
 
 
@@ -334,11 +336,9 @@ class _RoundLoop:
         # candidate cache: layer index -> (candidate, selection); valid while
         # that layer's weights and comp are untouched
         self.cache: dict[int, tuple[ConvLayer, SelectionResult]] = {}
-        # what scoring kept from the last round, reused only while the same
-        # layer objects are unchanged: hbgts's tree entries, and hbgs's
-        # layer index -> (layers before it, candidate, error)
+        # hbgts's tree entries from the last round, reused only while the
+        # same layer objects are unchanged (hbgs reuses self.rounds instead)
         self.tree: TreeMemo = {}
-        self.scores: dict[int, tuple[list[ConvLayer], ConvLayer, float]] = {}
 
     def reduction(self) -> float:
         return param_reduction(
@@ -445,9 +445,9 @@ def _argmin(score) -> Pick:
 def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Greedy layer selection by layerwise candidate error.
 
-    errors[c] depends only on the layers before c and on candidate c, so a
-    layer whose prefix and candidate are the same objects as last round
-    keeps last round's error and runs no candidate conv.
+    errors[c] depends only on the layers before c and on layer c.  A commit
+    at layer k changes only layer k, so every layer c < k keeps the error
+    that the last round recorded and runs no candidate conv.
     """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data)
@@ -457,26 +457,13 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     ]
 
     def score(loop: _RoundLoop, candidates, eligible):
-        current, memo = loop.net, loop.scores
-        todo = list(candidates)
-        reused = {}
-        for c in eligible:
-            kept = memo.get(c)
-            if (
-                kept is not None
-                and kept[1] is candidates[c]
-                and all(a is b for a, b in zip(kept[0], current.layers[:c]))
-            ):
-                todo[c] = None
-                reused[c] = kept[2]
-        errors, skips = relative_error_hbgs(current, todo, data, refs)
-        for c, err in reused.items():
-            errors[c] = err
-            skips += zero_refs[c]
-        memo.clear()
-        for c in eligible:
-            memo[c] = (current.layers[:c], candidates[c], errors[c])
-        return errors, len(data), skips
+        last = loop.rounds[-1] if loop.rounds else None
+        kept = last.errors[: last.chosen_layer] if last else ()
+        k = len(kept)
+        todo = [None] * k + candidates[k:]
+        errors, _ = relative_error_hbgs(loop.net, todo, data, refs)
+        errors[:k] = kept
+        return errors, len(data), sum(zero_refs[c] for c in eligible)
 
     return _run_rounds(net, data, cfg, _argmin(score))
 

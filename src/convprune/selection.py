@@ -1,15 +1,15 @@
 """Filter subset selection by sparse approximation.
 
-A layer's filter bank is flattened into a matrix A whose columns are the
-filters; selection keeps the subset of columns that reconstructs all columns
-best in the least-squares sense.  Both selectors work on the Gram matrix
-C = A^T A, formed once per call: a greedy forward pass (orthogonal matching
-pursuit over the unit-normalized filters, one ridged solve per step) and a
-backward elimination pass that removes one filter at a time using a
-closed-form expression for the exact error increase of each removal, with
-the inverse Gram matrix and the least-squares coefficients downdated by a
-rank-1 update after each removal.  Every Gram system goes through one ridged
-solve.
+A layer's filter bank is flattened into a plain (K*K*m, n) array A whose
+columns are the filters; selection keeps the subset of columns that
+reconstructs all columns best in the least-squares sense.  Both selectors
+take A itself and work on its Gram matrix C = A^T A, formed once per call: a
+greedy forward pass (orthogonal matching pursuit over the filters scaled to
+unit norm, one ridged solve per step) and a backward elimination pass that
+removes one filter at a time using a closed-form expression for the exact
+error increase of each removal, with the inverse Gram matrix and the
+least-squares coefficients downdated by a rank-1 update after each removal.
+Every Gram system goes through one ridged solve.
 """
 from __future__ import annotations
 
@@ -43,31 +43,16 @@ class ConsistencyError(ValueError):
     """Inputs that disagree with each other (shapes, index sets, blocks)."""
 
 
-@dataclass(frozen=True)
-class FilterMatrix:
-    """Filters of one layer as matrix columns.
-
-    Column j is filter j flattened over (in_channels, K, K), so the matrix
-    is (K*K*m, n).
-    """
-
-    matrix: np.ndarray
-    col_norms: np.ndarray
-
-    @property
-    def n_cols(self) -> int:
-        return self.matrix.shape[1]
-
-
-def flatten_filters(layer: ConvLayer) -> FilterMatrix:
-    """Flatten a layer's K x K weights into a column-per-filter matrix."""
+def flatten_filters(layer: ConvLayer) -> np.ndarray:
+    """The layer's filter matrix: column j is filter j flattened over
+    (in_channels, K, K), so the matrix is (K*K*m, n)."""
     mat = layer.weights.reshape(layer.out_channels, -1).T
     mat = np.ascontiguousarray(mat, dtype=np.float64)
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms <= 1e-300):
         dead = int(np.argmin(norms))
         raise ConsistencyError(f"filter column {dead} has zero norm")
-    return FilterMatrix(mat, norms)
+    return mat
 
 
 def default_ridge(a: np.ndarray) -> float:
@@ -161,20 +146,20 @@ def _finish(a: np.ndarray, retained: list[int], order: list[int]) -> SelectionRe
     return SelectionResult(tuple(kept), coeffs, total, per_target, tuple(order))
 
 
-def fp_omp(filters: FilterMatrix, beta: float) -> SelectionResult:
+def fp_omp(a: np.ndarray, beta: float) -> SelectionResult:
     """Greedy forward filter selection.
 
-    Works on unit-normalized filter columns: repeatedly adds the unselected
-    column with the largest total absolute correlation against the current
-    residuals of all columns.  Only inner products are needed, so the pass
-    runs on C = Ahat^T Ahat, formed once: after a least-squares refit X on
-    the selected set S, the correlations are C - C[:, S] X.  Ties go to the
-    smallest index.  The reported coefficients and errors are refit against
-    the original unnormalized columns.
+    Works on the columns of a scaled to unit norm (Ahat): repeatedly adds
+    the unselected column with the largest total absolute correlation
+    against the current residuals of all columns.  Only inner products are
+    needed, so the pass runs on C = Ahat^T Ahat, formed once: after a
+    least-squares refit X on the selected set S, the correlations are
+    C - C[:, S] X.  Ties go to the smallest index.  The reported
+    coefficients and errors are refit against the original unnormalized
+    columns.
     """
-    a = filters.matrix
-    t = retained_count(filters.n_cols, beta)
-    ahat = a / filters.col_norms
+    t = retained_count(a.shape[1], beta)
+    ahat = a / np.linalg.norm(a, axis=0)
     gram = ahat.T @ ahat
     selected: list[int] = []
     # correlations of every column with every residual, and scratch space:
@@ -265,7 +250,7 @@ def _argmin_tied(scores: np.ndarray, scale: float) -> int:
     return int(np.argmax(tied))
 
 
-def fp_backward(filters: FilterMatrix, beta: float) -> SelectionResult:
+def fp_backward(a: np.ndarray, beta: float) -> SelectionResult:
     """Backward filter elimination.
 
     Starts from all columns and repeatedly removes the one whose deletion
@@ -276,8 +261,7 @@ def fp_backward(filters: FilterMatrix, beta: float) -> SelectionResult:
     removing a nearly dependent column.  No normalization is applied at any
     point.
     """
-    a = filters.matrix
-    n = filters.n_cols
+    n = a.shape[1]
     t = retained_count(n, beta)
     scale = float(np.einsum("ij,ij->", a, a)) / n
     keep = list(range(n))

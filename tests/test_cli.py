@@ -159,7 +159,21 @@ def test_usage_errors_exit_1(tmp_path, capsys):
     assert run("verify", "--suite", "nonsense") == 1
     assert run("prune", "--model", "m", "--data", "d", "--out", "o",
                "--beta", "0.3", "--selector", "greedy") == 1
-    capsys.readouterr()
+    # a run that checks nothing is not a pass
+    for trials in ("0", "-3"):
+        assert run("verify", "--suite", "omp-oracle", "--trials", trials) == 1
+        assert "--trials: must be >= 1" in capsys.readouterr().err
+    # every --seed rejects a negative value by name, before any file is read
+    for argv in (
+        ("gen", "--out-model", "m", "--out-data", "d"),
+        ("prune", "--model", "m", "--data", "d", "--out", "o", "--beta", "0.3",
+         "--selector", "random"),
+        ("verify", "--suite", "omp-oracle"),
+    ):
+        assert run(*argv, "--seed", "-1") == 1
+        assert "--seed: must be >= 0, got -1" in capsys.readouterr().err
+    assert run("verify", "--trials", "x") == 1
+    assert "--trials: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_bad_values_exit_1(workspace, capsys):

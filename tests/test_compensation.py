@@ -35,9 +35,9 @@ def pruned_pair(rng, m=3, n=6, k=3, beta=0.5, rank=None, select=fp_backward):
         base = rng.standard_normal((rank, m, k, k))
         w = np.concatenate([base, 1.5 * base])
     layer = ConvLayer(w, activation="identity")
-    fm = flatten_filters(layer)
-    sel = select(fm, beta)
-    update = compensate_output(identity_comp(layer), sel, fm)
+    a = flatten_filters(layer)
+    sel = select(a, beta)
+    update = compensate_output(identity_comp(layer), sel, a)
     return layer, apply_pruning(layer, sel, update), sel, update
 
 
@@ -63,9 +63,9 @@ def test_difference_equals_residual_response(rng):
     g = rng.standard_normal((6, 4))
     w = rng.standard_normal((6, 3, 3, 3))
     layer = ConvLayer(w, comp=g, activation="identity")
-    fm = flatten_filters(layer)
-    sel = fp_omp(fm, beta=0.5)
-    update = compensate_output(g, sel, fm)
+    a = flatten_filters(layer)
+    sel = fp_omp(a, beta=0.5)
+    update = compensate_output(g, sel, a)
     pruned = apply_pruning(layer, sel, update)
 
     x = rng.standard_normal((3, 5, 5))
@@ -73,15 +73,15 @@ def test_difference_equals_residual_response(rng):
     z_prime = conv_forward(pruned, x)
     eps_weights = update.epsilons.reshape(-1, 3, 3, 3)
     response = conv_forward_linear(ConvLayer(eps_weights), x)
-    want = np.einsum("jhw,jk->khw", response, g[list(update.removed)])
+    want = np.einsum("jhw,jk->khw", response, g[list(sel.removed)])
     np.testing.assert_allclose(z - z_prime, want, rtol=1e-8, atol=1e-10)
 
 
 def test_rectangular_map_keeps_width(rng):
     layer = ConvLayer(rng.standard_normal((5, 2, 3, 3)), comp=rng.standard_normal((5, 9)))
-    fm = flatten_filters(layer)
-    sel = fp_omp(fm, beta=0.4)
-    update = compensate_output(layer.comp, sel, fm)
+    a = flatten_filters(layer)
+    sel = fp_omp(a, beta=0.4)
+    update = compensate_output(layer.comp, sel, a)
     pruned = apply_pruning(layer, sel, update)
     assert pruned.out_channels == 3
     assert pruned.width == 9
@@ -96,32 +96,32 @@ def test_zero_residual_epsilons(rng):
 
 def test_compensate_shape_guards(rng):
     layer = rand_layer(rng, 2, 4)
-    fm = flatten_filters(layer)
-    sel = fp_omp(fm, beta=0.5)
+    a = flatten_filters(layer)
+    sel = fp_omp(a, beta=0.5)
     with pytest.raises(ConsistencyError):
-        compensate_output(np.eye(3), sel, fm)
+        compensate_output(np.eye(3), sel, a)
     with pytest.raises(ConsistencyError):
-        compensate_output(np.ones(4), sel, fm)
+        compensate_output(np.ones(4), sel, a)
 
 
 def test_apply_pruning_guards(rng):
     layer = rand_layer(rng, 2, 4)
     other = rand_layer(rng, 2, 5)
-    fm = flatten_filters(layer)
-    sel = fp_omp(fm, beta=0.5)
-    update = compensate_output(identity_comp(layer), sel, fm)
+    a = flatten_filters(layer)
+    sel = fp_omp(a, beta=0.5)
+    update = compensate_output(identity_comp(layer), sel, a)
     with pytest.raises(ConsistencyError):
         apply_pruning(other, sel, update)
-    wrong_sel = fp_omp(fm, beta=0.25)
-    with pytest.raises(ConsistencyError):
+    wrong_sel = fp_omp(a, beta=0.25)
+    with pytest.raises(ConsistencyError, match="2 rows for 3 retained"):
         apply_pruning(layer, wrong_sel, update)
 
 
 def test_pruned_layer_preserves_activation(rng):
     layer = rand_layer(rng, 2, 5, activation="relu")
-    fm = flatten_filters(layer)
-    sel = fp_backward(fm, beta=0.4)
-    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel, fm))
+    a = flatten_filters(layer)
+    sel = fp_backward(a, beta=0.4)
+    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel, a))
     assert pruned.activation == "relu"
     assert pruned.weights.shape == (3, 2, 3, 3)
     np.testing.assert_array_equal(pruned.weights, layer.weights[list(sel.retained)])
@@ -144,13 +144,12 @@ def test_compensation_shapes_and_identity(seed, n, m, k, width, beta, backward):
         comp=rng.standard_normal((n, width)),
         activation="identity",
     )
-    fm = flatten_filters(layer)
-    sel = (fp_backward if backward else fp_omp)(fm, beta)
-    update = compensate_output(layer.comp, sel, fm)
+    a = flatten_filters(layer)
+    sel = (fp_backward if backward else fp_omp)(a, beta)
+    update = compensate_output(layer.comp, sel, a)
     t = len(sel.retained)
     assert update.g_prime.shape == (t, width)
     assert update.epsilons.shape == (n - t, m * k * k)
-    assert update.retained == sel.retained
     pruned = apply_pruning(layer, sel, update)
 
     x = rng.standard_normal((m, 4, 4))
@@ -159,7 +158,7 @@ def test_compensation_shapes_and_identity(seed, n, m, k, width, beta, backward):
     eps_w = update.epsilons.reshape(-1, m, k, k)
     if eps_w.shape[0]:
         response = conv_forward_linear(ConvLayer(eps_w), x)
-        want = np.einsum("jhw,jk->khw", response, layer.comp[list(update.removed)])
+        want = np.einsum("jhw,jk->khw", response, layer.comp[list(sel.removed)])
     else:
         want = np.zeros_like(z)
     scale = max(np.abs(z).max(), np.abs(z_prime).max(), 1.0)

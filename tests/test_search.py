@@ -359,30 +359,70 @@ def assert_same_result(a, b):
             assert la.comp.tobytes() == lb.comp.tobytes()
 
 
+def replay_hbgs(net, data, cfg, rounds):
+    """hbgs recomputed in full along the recorded rounds: each round builds
+    and scores every eligible candidate and commits the cheapest."""
+    refs = collect_layer_outputs(net, data)
+    replayed = []
+    for r in rounds:
+        candidates = [
+            candidate_for_layer(
+                layer, min(cfg.alpha, layer.out_channels - cfg.floor), cfg.fp_method
+            )[0]
+            if layer.out_channels > cfg.floor
+            else None
+            for layer in net.layers
+        ]
+        errors, skips = relative_error_hbgs(net, candidates, data, refs)
+        chosen = int(np.argmin(errors))
+        net = net.with_layer(chosen, candidates[chosen])
+        replayed.append(
+            replace(
+                r,
+                errors=tuple(float(e) for e in errors),
+                chosen_layer=chosen,
+                retained=tuple(layer.out_channels for layer in net.layers),
+                skipped_refs=skips,
+            )
+        )
+    done = all(layer.out_channels <= cfg.floor for layer in net.layers)
+    return search.PruneResult(net, tuple(replayed), "partial" if done else "reached")
+
+
 @pytest.mark.parametrize("driver", [hbgs, hbgts])
 def test_incremental_rounds_equal_full_recompute(rng, driver, monkeypatch):
     # floor 4 makes layer 1 ineligible from the start and the others once
     # they reach it, so aliased hypotheses are reused too
-    net = rand_net(rng, [3, 8, 4, 7, 6], k=3, activation="relu")
+    net = rand_net(rng, [3, 8, 4, 7, 10], k=3, activation="relu")
     data = rng.standard_normal((3, 3, 5, 5))
     data[1] = 0.0  # zero-norm references are skipped in reused layers too
     cfg = PruneConfig(beta=0.6, alpha=2, floor=4)
     incremental = driver(net, data, cfg)
-    commit = search._RoundLoop.commit
+    if driver is hbgs:
+        # hbgs reuses the round record, which no cache flush can turn off
+        full = replay_hbgs(net, data, cfg, incremental.rounds)
+    else:
+        commit = search._RoundLoop.commit
 
-    def forgetful_commit(loop, *args):
-        commit(loop, *args)
-        loop.cache.clear()
-        loop.tree.clear()
-        loop.scores.clear()
+        def forgetful_commit(loop, *args):
+            commit(loop, *args)
+            loop.cache.clear()
+            loop.tree.clear()
 
-    # with nothing kept across a commit, every round is recomputed in full
-    monkeypatch.setattr(search._RoundLoop, "commit", forgetful_commit)
-    full = driver(net, data, cfg)
+        # with nothing kept across a commit, every round is recomputed in full
+        monkeypatch.setattr(search._RoundLoop, "commit", forgetful_commit)
+        full = driver(net, data, cfg)
     assert incremental.status == "partial"
     assert len({r.chosen_layer for r in incremental.rounds}) > 1
     assert any(r.errors[1] == math.inf for r in incremental.rounds)
     assert all(r.skipped_refs > 0 for r in incremental.rounds)
+    # some round still scores a layer before the last commit, so hbgs reuses
+    # a recorded error
+    assert any(
+        r.errors[c] < math.inf
+        for prev, r in zip(incremental.rounds, incremental.rounds[1:])
+        for c in range(prev.chosen_layer)
+    )
     assert_same_result(incremental, full)
 
 
@@ -471,6 +511,40 @@ def test_hbgs_round_after_commit_skips_unchanged_layers(rng, monkeypatch):
     for prev, positions in zip(res.rounds, rounds[1:]):
         k = prev.chosen_layer
         assert sorted(positions) == [c for c in range(k, 4) for _ in data]
+
+
+def test_hbgs_chain_convs_per_round(rng, monkeypatch):
+    # layers reach the floor over the run, so the last scored layer, and
+    # with it the chain, moves between rounds
+    net = rand_net(rng, [3, 10, 8, 6, 6], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 4, 4))
+    chain = []
+
+    def conv(layer, x):
+        chain.append(layer)
+        return conv_forward_linear(layer, x)
+
+    # the chain runs through nets.conv_forward; references and candidates
+    # run through search's own binding
+    monkeypatch.setattr(nets, "conv_forward_linear", conv)
+    per_round = []
+    commit = search._RoundLoop.commit
+
+    def counted_commit(loop, *args):
+        per_round.append(len(chain))
+        chain.clear()
+        commit(loop, *args)
+
+    monkeypatch.setattr(search._RoundLoop, "commit", counted_commit)
+    res = hbgs(net, data, PruneConfig(beta=0.5, alpha=2, floor=3))
+    want = []
+    k = 0  # layers before last round's commit are not scored again
+    for r in res.rounds:
+        scored = [c for c, e in enumerate(r.errors) if c >= k and e < math.inf]
+        want.append(len(data) * max(scored, default=0))
+        k = r.chosen_layer
+    assert per_round == want
+    assert sorted(set(want)) == [0, 2, 4, 6]  # every chain length occurs
 
 
 def test_propagate_tree_memo_drops_stale_entries_before_computing(rng, monkeypatch):
@@ -616,6 +690,8 @@ def test_prune_config_validation():
         PruneConfig(beta=0.5, selector="greedy")
     with pytest.raises(ValueError):
         PruneConfig(beta=0.5, fp_method="lasso")
+    with pytest.raises(ValueError, match="seed must be >= 0"):
+        PruneConfig(beta=0.5, seed=-1)
     for bad in [1.5, 2.0, "3", True, None]:
         for name in ("alpha", "floor", "seed"):
             with pytest.raises(ValueError, match=f"{name} must be an integer"):

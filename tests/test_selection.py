@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from convprune import (
     ConsistencyError,
     ConvLayer,
-    FilterMatrix,
     SingularGramError,
     flatten_filters,
     fp_backward,
@@ -30,21 +29,16 @@ from convprune.selection import (
 from conftest import scratch_lstsq_error
 
 
-def as_filter_matrix(mat: np.ndarray) -> FilterMatrix:
-    mat = np.asarray(mat, dtype=np.float64)
-    return FilterMatrix(mat, np.linalg.norm(mat, axis=0))
-
-
 # ---------------------------------------------------------------- flattening
 
 
 def test_flatten_output_columns_are_filters(rng):
     w = rng.standard_normal((4, 3, 2, 2))
-    fm = flatten_filters(ConvLayer(w))
-    assert fm.matrix.shape == (3 * 2 * 2, 4)
+    a = flatten_filters(ConvLayer(w))
+    assert a.shape == (3 * 2 * 2, 4)
+    assert a.dtype == np.float64 and a.flags.c_contiguous
     for j in range(4):
-        np.testing.assert_array_equal(fm.matrix[:, j], w[j].ravel())
-    np.testing.assert_allclose(fm.col_norms, np.linalg.norm(fm.matrix, axis=0))
+        np.testing.assert_array_equal(a[:, j], w[j].ravel())
 
 
 def test_flatten_rejects_dead_filter(rng):
@@ -126,7 +120,7 @@ def test_retained_count_bounds_and_monotone(n, b1, b2):
 def test_fp_omp_spanning_triple():
     s = 1.0 / np.sqrt(2.0)
     a = np.array([[1.0, 0.0, s], [0.0, 1.0, s]])
-    sel = fp_omp(as_filter_matrix(a), beta=1.0 / 3.0)
+    sel = fp_omp(a, beta=1.0 / 3.0)
     # the mixed column correlates with everything and goes first; the
     # remaining pair ties and the smaller index wins
     assert sel.order == (2, 0)
@@ -137,7 +131,7 @@ def test_fp_omp_spanning_triple():
 def test_fp_omp_skips_duplicates(rng):
     c1, c2, c3 = rng.standard_normal((3, 12))
     a = np.stack([c1, c1, c2, c3], axis=1)
-    sel = fp_omp(as_filter_matrix(a), beta=0.25)
+    sel = fp_omp(a, beta=0.25)
     assert len(sel.retained) == 3
     assert not {0, 1} <= set(sel.retained)
     assert sel.residual_error <= 1e-16 * np.sum(a * a)
@@ -147,7 +141,7 @@ def test_fp_omp_never_beats_exhaustive(rng):
     from itertools import combinations
 
     a = rng.standard_normal((6, 5))
-    sel = fp_omp(as_filter_matrix(a), beta=0.4)
+    sel = fp_omp(a, beta=0.4)
     assert len(sel.retained) == 3
     best = min(
         scratch_lstsq_error(a[:, list(s)], a) for s in combinations(range(5), 3)
@@ -157,7 +151,7 @@ def test_fp_omp_never_beats_exhaustive(rng):
 
 def test_fp_omp_beta_zero_keeps_everything(rng):
     a = rng.standard_normal((9, 4))
-    sel = fp_omp(as_filter_matrix(a), beta=0.0)
+    sel = fp_omp(a, beta=0.0)
     assert sel.retained == (0, 1, 2, 3)
     assert sel.residual_error <= 1e-12 * np.sum(a * a)
 
@@ -191,8 +185,7 @@ def test_fp_omp_matches_data_space_reference():
     # past a planted bank's rank every residual is round-off, so the picks
     # there may differ between BLAS builds while the error stays ~0
     mismatches = []
-    for fm, planted in omp_reference_banks():
-        a = fm.matrix
+    for a, planted in omp_reference_banks():
         n = a.shape[1]
         rank = np.linalg.matrix_rank(a) if planted else n
         # greedy picks do not depend on when the pass stops, so one
@@ -200,7 +193,7 @@ def test_fp_omp_matches_data_space_reference():
         want = data_space_omp(a, retained_count(n, 0.2))
         for beta in (0.2, 0.4, 0.6):
             t = retained_count(n, beta)
-            sel = fp_omp(fm, beta)
+            sel = fp_omp(a, beta)
             if sel.order[:rank] != tuple(want[:min(t, rank)]):
                 mismatches.append((a.shape, beta, sel.order, want[:t]))
             elif t > rank:
@@ -290,7 +283,7 @@ def test_downdate_guards(rng):
 def test_fp_backward_removes_scaled_copy_first(rng):
     c1, c2 = rng.standard_normal((2, 9))
     a = np.stack([c1, c2, 2.0 * c1], axis=1)
-    sel = fp_backward(as_filter_matrix(a), beta=1.0 / 3.0)
+    sel = fp_backward(a, beta=1.0 / 3.0)
     # columns 0 and 2 are redundant with each other; the tie resolves to the
     # smaller original index
     assert sel.order == (0,)
@@ -300,14 +293,13 @@ def test_fp_backward_removes_scaled_copy_first(rng):
 
 def test_fp_backward_residual_monotone_in_beta(rng):
     a = rng.standard_normal((12, 8))
-    fm = as_filter_matrix(a)
-    errs = [fp_backward(fm, beta).residual_error for beta in (0.1, 0.3, 0.5, 0.7)]
+    errs = [fp_backward(a, beta).residual_error for beta in (0.1, 0.3, 0.5, 0.7)]
     assert errs == sorted(errs)
 
 
 def test_fp_backward_beta_zero_keeps_everything(rng):
     a = rng.standard_normal((10, 5))
-    sel = fp_backward(as_filter_matrix(a), beta=0.0)
+    sel = fp_backward(a, beta=0.0)
     assert sel.retained == (0, 1, 2, 3, 4)
     assert sel.order == ()
     assert sel.residual_error <= 1e-12 * np.sum(a * a)
@@ -318,7 +310,7 @@ def test_fp_backward_handles_rank_deficient_bank(rng):
     # and the near-singular downdates must not corrupt the scores
     basis = rng.standard_normal((20, 3))
     a = basis @ rng.standard_normal((3, 8))
-    sel = fp_backward(as_filter_matrix(a), beta=5.0 / 8.0)
+    sel = fp_backward(a, beta=5.0 / 8.0)
     assert len(sel.retained) == 3
     assert sel.residual_error <= 1e-9 * np.sum(a * a)
 
@@ -331,12 +323,12 @@ def test_fp_backward_survives_planted_banks():
         for redundancy in (0.1, 0.25, 0.5, 0.75):
             for seed in range(10):
                 net, _ = planted_network(1, channels, 3, redundancy, seed)
-                fm = flatten_filters(net.layers[0])
-                energy = float(np.sum(fm.matrix * fm.matrix))
+                a = flatten_filters(net.layers[0])
+                energy = float(np.sum(a * a))
                 for beta in (0.2, 0.4, 0.6):
                     case = (channels, redundancy, seed, beta)
                     try:
-                        sel = fp_backward(fm, beta)
+                        sel = fp_backward(a, beta)
                     except np.linalg.LinAlgError as exc:
                         failures.append((case, repr(exc)))
                         continue
@@ -349,8 +341,8 @@ def test_fp_backward_survives_planted_banks():
 def test_selection_is_permutation_equivariant(rng, select):
     a = rng.standard_normal((12, 6))
     perm = rng.permutation(6)
-    base = select(as_filter_matrix(a), beta=0.5)
-    shuffled = select(as_filter_matrix(a[:, perm]), beta=0.5)
+    base = select(a, beta=0.5)
+    shuffled = select(a[:, perm], beta=0.5)
     assert sorted(perm[list(shuffled.retained)]) == list(base.retained)
     assert shuffled.residual_error == pytest.approx(base.residual_error, rel=1e-9)
 
@@ -358,8 +350,8 @@ def test_selection_is_permutation_equivariant(rng, select):
 @pytest.mark.parametrize("select", [fp_omp, fp_backward])
 def test_selection_is_scale_invariant(rng, select):
     a = rng.standard_normal((10, 7))
-    base = select(as_filter_matrix(a), beta=0.4)
-    scaled = select(as_filter_matrix(3.7 * a), beta=0.4)
+    base = select(a, beta=0.4)
+    scaled = select(3.7 * a, beta=0.4)
     assert scaled.retained == base.retained
     assert scaled.order == base.order
 
@@ -376,7 +368,7 @@ def test_selection_invariants(seed, n, rows, beta, backward):
     rng = np.random.default_rng(seed)
     a = rng.standard_normal((rows, n))
     select = fp_backward if backward else fp_omp
-    sel = select(as_filter_matrix(a), beta)
+    sel = select(a, beta)
     t = retained_count(n, beta)
     assert len(sel.retained) == t
     assert list(sel.retained) == sorted(set(sel.retained))
