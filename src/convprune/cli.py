@@ -1,6 +1,7 @@
 """Command-line interface: gen, prune, eval, verify.
 
-Exit codes: 0 success, 1 usage error, 2 file/parse error, 3 the pruning run
+Exit codes: 0 success, 1 usage error, 2 file/parse error or a model that
+prune cannot select from (an all-zero filter), 3 the pruning run
 stopped before reaching its budget, 4 a verification suite exceeded its
 tolerance, 5 a numerical failure (singular or non-finite linear algebra).
 """
@@ -16,6 +17,7 @@ from . import modelio, oracles
 from .metrics import count_stats, reduction_report
 from .nets import DimensionError
 from .search import DRIVERS, PruneConfig, relative_output_error, run_selector
+from .selection import ConsistencyError, flatten_filters
 from .synth import make_dataset, planted_network
 
 EXIT_OK = 0
@@ -141,8 +143,23 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _signed_change(before: int, after: int, drop_pct: float) -> str:
+    """A count's change as the prune line prints it: the rounded drop
+    percentage with the sign of the change."""
+    if after < before:
+        return f"-{drop_pct}%"
+    if after > before:
+        return f"+{-drop_pct}%"
+    return "0.0%"
+
+
 def cmd_prune(args) -> int:
     net, input_shape = modelio.read_model(args.model)
+    for c, layer in enumerate(net.layers):
+        try:
+            flatten_filters(layer)  # selection needs nonzero filters
+        except ConsistencyError as exc:
+            raise modelio.ModelIOError(f"layer {c}: {exc}") from None
     data = modelio.read_dataset(args.data)
     cfg = PruneConfig(
         beta=args.beta,
@@ -157,10 +174,12 @@ def cmd_prune(args) -> int:
     report = modelio.build_report(cfg, result, net, input_shape)
     if args.report:
         modelio.write_report(report, args.report)
+    before, after = report.before, report.after
+    params = _signed_change(before["params"], after["params"], report.param_drop_pct)
+    flops = _signed_change(before["flops"], after["flops"], report.flops_drop_pct)
     print(
         f"prune: {cfg.selector}/{cfg.fp_method} status={result.status} "
-        f"rounds={len(result.rounds)} params -{report.param_drop_pct}% "
-        f"flops -{report.flops_drop_pct}% -> {args.out}"
+        f"rounds={len(result.rounds)} params {params} flops {flops} -> {args.out}"
     )
     return EXIT_OK if result.status == "reached" else EXIT_PARTIAL
 

@@ -9,35 +9,17 @@ change at all.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .nets import ConvLayer
 from .selection import ConsistencyError, SelectionResult
 
 
-@dataclass(frozen=True)
-class CompensationUpdate:
-    """Compensated 1x1 map plus the per-removed-filter residual vectors.
-
-    g_prime: (|retained|, width), the compensated rows of the map.
-    epsilons: (n_removed, flat filter length); row r is the reconstruction
-        residual of the selection's removed column sel.removed[r].
-    """
-
-    g_prime: np.ndarray
-    epsilons: np.ndarray
-
-
-def compensate_output(
-    g: np.ndarray, sel: SelectionResult, a: np.ndarray
-) -> CompensationUpdate:
+def compensate_output(g: np.ndarray, sel: SelectionResult) -> np.ndarray:
     """Fold removed output channels into the retained rows of the 1x1 map.
 
     Row l of the result is g[retained[l], :] plus, for every removed channel
-    j, coeffs[l, j] * g[j, :].  a is the layer's filter matrix, as
-    flatten_filters returns it.  The map keeps all of its columns, so the
+    j, coeffs[l, j] * g[j, :].  The map keeps all of its columns, so the
     composite output width is unchanged.
     """
     g = np.asarray(g, dtype=np.float64)
@@ -53,9 +35,7 @@ def compensate_output(
     if kept and not (0 <= kept[0] and kept[-1] < n):
         raise ConsistencyError(f"retained indices {kept} out of range for n={n}")
     dropped = list(sel.removed)
-    g_prime = g[kept, :] + sel.coeffs[:, dropped] @ g[dropped, :]
-    epsilons = (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
-    return CompensationUpdate(g_prime, epsilons)
+    return g[kept, :] + sel.coeffs[:, dropped] @ g[dropped, :]
 
 
 def identity_comp(layer: ConvLayer) -> np.ndarray:
@@ -64,16 +44,17 @@ def identity_comp(layer: ConvLayer) -> np.ndarray:
 
 
 def apply_pruning(
-    layer: ConvLayer, sel: SelectionResult, update: CompensationUpdate
+    layer: ConvLayer, sel: SelectionResult, g_prime: np.ndarray
 ) -> ConvLayer:
-    """New layer keeping only the selected filters, with the compensated map.
+    """New layer keeping only the selected filters, with the compensated map
+    g_prime (one row per retained filter).
 
     The composite output width is preserved, so downstream layers are
     untouched.
     """
-    if update.g_prime.shape[0] != len(sel.retained):
+    if g_prime.shape[0] != len(sel.retained):
         raise ConsistencyError(
-            f"compensated map has {update.g_prime.shape[0]} rows for "
+            f"compensated map has {g_prime.shape[0]} rows for "
             f"{len(sel.retained)} retained filters"
         )
     if len(sel.retained) < 1:
@@ -84,7 +65,7 @@ def apply_pruning(
             f"{layer.out_channels}"
         )
     return ConvLayer(
-        weights=layer.weights[list(sel.retained)].copy(),
-        comp=update.g_prime.copy(),
+        weights=layer.weights[list(sel.retained)],  # fancy indexing copies
+        comp=g_prime.copy(),
         activation=layer.activation,
     )

@@ -112,8 +112,11 @@ def compensation_suite(seed: int = 20240802, trials: int = 50) -> SuiteResult:
         a = flatten_filters(layer)
         select = fp_omp if trial % 2 == 0 else fp_backward
         sel = select(a, n_prune / n)
-        update = compensate_output(g, sel, a)
-        pruned = apply_pruning(layer, sel, update)
+        pruned = apply_pruning(layer, sel, compensate_output(g, sel))
+        kept, dropped = list(sel.retained), list(sel.removed)
+        # scratch residual filters: each removed filter minus its
+        # reconstruction from the retained ones
+        epsilons = (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
         worst = 0.0
         for _ in range(5):
             x = rng.standard_normal((m, 5, 5))
@@ -121,9 +124,9 @@ def compensation_suite(seed: int = 20240802, trials: int = 50) -> SuiteResult:
             z_pruned = conv_forward(pruned, x)
             # scratch RHS: residual filters convolved with x, mixed by g rows
             rhs = np.zeros_like(z)
-            for r, removed in enumerate(sel.removed):
+            for r, removed in enumerate(dropped):
                 eps_layer = ConvLayer(
-                    weights=update.epsilons[r].reshape(1, m, k, k),
+                    weights=epsilons[r].reshape(1, m, k, k),
                     activation="identity",
                 )
                 response = conv_forward(eps_layer, x)[0]

@@ -39,7 +39,6 @@ from .nets import (
     Network,
     apply_activation,
     check_dataset,
-    conv_forward,
     conv_forward_linear,
 )
 from .selection import (
@@ -126,13 +125,13 @@ def candidate_for_layer(
     select = fp_omp if fp_method == "omp" else fp_backward
     sel = select(a, n_prune / n)
     g = layer.comp if layer.comp is not None else identity_comp(layer)
-    update = compensate_output(g, sel, a)
-    return apply_pruning(layer, sel, update), sel
+    return apply_pruning(layer, sel, compensate_output(g, sel)), sel
 
 
 def _layer_output(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
-    """conv_forward, but through this module's conv_forward_linear, so a
-    wrapper of search.conv_forward_linear sees every scoring conv."""
+    """conv_forward, but through this module's conv_forward_linear: the one
+    conv step of this module, so a wrapper of search.conv_forward_linear
+    sees every conv that search runs."""
     return apply_activation(layer.activation, conv_forward_linear(layer, x))
 
 
@@ -154,32 +153,29 @@ def relative_error_hbgs(
     candidates: list[ConvLayer | None],
     data: np.ndarray,
     refs: list[list[np.ndarray]],
-) -> tuple[np.ndarray, int]:
+) -> np.ndarray:
     """Layerwise relative errors of all candidates in one pass per example.
 
     Candidate c is applied to the current network's input to layer c and
     compared against refs[i][c] (the original network's layer-c output),
-    normalized by that reference's norm.  Zero-norm references are skipped
-    and counted.  Layers without a candidate score math.inf.  Each example's
-    chain stops at the input of the last layer that has a candidate.
+    normalized by that reference's norm.  Zero-norm references are skipped.
+    Layers without a candidate score math.inf.  Each example's chain stops
+    at the input of the last layer that has a candidate.
     """
     errors = np.where([c is not None for c in candidates], 0.0, math.inf)
     depth = max((c for c, cand in enumerate(candidates) if cand is not None), default=-1)
-    skips = 0
     for i, x in enumerate(data):
         y = x
         for c in range(depth + 1):
             if candidates[c] is not None:
                 ref = refs[i][c]
                 ref_norm = float(np.linalg.norm(ref))
-                if ref_norm == 0.0:
-                    skips += 1
-                else:
+                if ref_norm != 0.0:
                     cand_out = _layer_output(candidates[c], y)
                     errors[c] += float(np.linalg.norm(ref - cand_out)) / ref_norm
             if c < depth:
-                y = conv_forward(net.layers[c], y)
-    return errors, skips
+                y = _layer_output(net.layers[c], y)
+    return errors
 
 
 @dataclass
@@ -269,11 +265,7 @@ def propagate_tree(
         def step(lay: ConvLayer, inp: np.ndarray) -> np.ndarray:
             key = (c, id(lay), id(inp))
             hit = reuse.get(key)
-            if hit is not None:
-                out = hit[2]
-            else:
-                out = conv_forward_linear(lay, inp)
-                out = apply_activation(lay.activation, out)
+            out = hit[2] if hit is not None else _layer_output(lay, inp)
             if memo is not None:
                 memo[key] = (lay, inp, out)
             return out
@@ -306,9 +298,9 @@ def _relative_sum(refs: np.ndarray, outs: np.ndarray) -> tuple[float, int]:
 def final_output(net: Network, data: np.ndarray) -> np.ndarray:
     """Final-layer post-activation output of net on a batch."""
     y = data
-    for layer in net.layers[:-1]:
-        y = conv_forward(layer, y)
-    return _layer_output(net.layers[-1], y)
+    for layer in net.layers:
+        y = _layer_output(layer, y)
+    return y
 
 
 def relative_output_error(
@@ -461,7 +453,7 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
         kept = last.errors[: last.chosen_layer] if last else ()
         k = len(kept)
         todo = [None] * k + candidates[k:]
-        errors, _ = relative_error_hbgs(loop.net, todo, data, refs)
+        errors = relative_error_hbgs(loop.net, todo, data, refs)
         errors[:k] = kept
         return errors, len(data), sum(zero_refs[c] for c in eligible)
 

@@ -97,11 +97,10 @@ def least_squares_coeffs(
 
 def reconstruction_error(
     a_sub: np.ndarray, b: np.ndarray, coeffs: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Total and per-column squared reconstruction error of b by a_sub @ coeffs."""
+) -> float:
+    """Total squared reconstruction error of b by a_sub @ coeffs."""
     resid = b - a_sub @ coeffs
-    per_target = np.einsum("ij,ij->j", resid, resid)
-    return float(per_target.sum()), per_target
+    return float(np.einsum("ij,ij->j", resid, resid).sum())
 
 
 def retained_count(n: int, beta: float) -> int:
@@ -120,8 +119,8 @@ class SelectionResult:
     retained: kept column indices, ascending.
     coeffs: (|retained|, n); column j reconstructs original filter j from the
         retained columns at their original (unnormalized) scale.
-    residual_error / per_target_error: squared reconstruction error of all n
-        original columns, total and per column.
+    residual_error: total squared reconstruction error of all n original
+        columns.
     order: indices in the order the selector touched them (forward: order of
         addition; backward: order of removal).
     """
@@ -129,7 +128,6 @@ class SelectionResult:
     retained: tuple[int, ...]
     coeffs: np.ndarray
     residual_error: float
-    per_target_error: np.ndarray
     order: tuple[int, ...]
 
     @property
@@ -142,8 +140,8 @@ class SelectionResult:
 def _finish(a: np.ndarray, retained: list[int], order: list[int]) -> SelectionResult:
     kept = sorted(retained)
     coeffs = least_squares_coeffs(a[:, kept], a)
-    total, per_target = reconstruction_error(a[:, kept], a, coeffs)
-    return SelectionResult(tuple(kept), coeffs, total, per_target, tuple(order))
+    total = reconstruction_error(a[:, kept], a, coeffs)
+    return SelectionResult(tuple(kept), coeffs, total, tuple(order))
 
 
 def fp_omp(a: np.ndarray, beta: float) -> SelectionResult:
@@ -193,7 +191,6 @@ class GramInverse:
 
     matrix: np.ndarray
     coeffs: np.ndarray
-    ridge: float
 
 
 def gram_inverse(gram: np.ndarray, cross: np.ndarray, ridge: float) -> GramInverse:
@@ -204,7 +201,7 @@ def gram_inverse(gram: np.ndarray, cross: np.ndarray, ridge: float) -> GramInver
             f"Gram block {gram.shape} does not match cross block {cross.shape}"
         )
     inv = _ridged_solve(gram, np.eye(size), ridge)
-    return GramInverse(inv, inv @ cross, ridge)
+    return GramInverse(inv, inv @ cross)
 
 
 def elimination_scores(state: GramInverse) -> np.ndarray:
@@ -240,7 +237,6 @@ def downdate_gram(state: GramInverse, k: int) -> GramInverse:
     return GramInverse(
         rest - np.outer(g, g) / gamma,
         coeffs - np.outer(g, state.coeffs[k]) / gamma,
-        state.ridge,
     )
 
 

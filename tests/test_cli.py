@@ -13,6 +13,7 @@ from convprune import (
     read_model,
     read_report,
     read_tensor,
+    write_model,
     write_tensor,
 )
 from convprune.oracles import SuiteResult
@@ -227,6 +228,47 @@ def test_file_errors_exit_2(workspace, capsys):
         assert run("eval", "--model", str(model), "--data", str(nonfinite)) == 2
     err = capsys.readouterr().err
     assert "convprune" in err
+
+
+def test_prune_prints_signed_change(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)  # the printed line names --out as given
+
+    def gen(tag, *argv):
+        model, data = tmp_path / f"{tag}.json", tmp_path / f"{tag}.bin"
+        assert run("gen", *argv, "--out-model", str(model), "--out-data", str(data)) == 0
+        return ["--model", str(model), "--data", str(data)]
+
+    def prune(inputs, *argv):
+        code = run("prune", *inputs, *argv, "--out", "o.json")
+        line = capsys.readouterr().out.strip()
+        return code, line.split(" status=")[1]
+
+    std = gen("std", "--layers", "4", "--channels", "24", "--redundancy", "0.3",
+              "--examples", "6", "--seed", "5")
+    # a reduction prints as it always has
+    assert prune(std, "--selector", "hbgts", "--beta", "0.4", "--alpha", "3") == (
+        0, "reached rounds=15 params -41.0% flops -41.0% -> o.json")
+    # no round committed: no change, and no sign
+    assert prune(std, "--selector", "hbgts", "--beta", "0.4", "--floor", "30") == (
+        3, "partial rounds=0 params 0.0% flops 0.0% -> o.json")
+    # 1x1 layers 40 -> 40 gain a 38x40 map: the counts grow
+    wide = gen("wide", "--layers", "2", "--channels", "40", "--kernel", "1",
+               "--redundancy", "0", "--examples", "2", "--seed", "1")
+    assert prune(wide, "--selector", "uniform", "--beta", "0.05") == (
+        0, "reached rounds=1 params +90.0% flops +90.0% -> o.json")
+
+
+@pytest.mark.parametrize("selector", ["hbgts", "uniform"])
+def test_zero_filter_model_exits_2(workspace, capsys, selector):
+    tmp_path, model, data = workspace
+    net, shape = read_model(model)
+    net.layers[1].weights[0] = 0.0
+    dead = tmp_path / "dead.json"
+    write_model(net, shape, dead)
+    assert run("prune", "--model", str(dead), "--data", str(data),
+               "--selector", selector, "--beta", "0.3",
+               "--out", str(tmp_path / "o.json")) == 2
+    assert "layer 1: filter column 0 has zero norm" in capsys.readouterr().err
 
 
 def test_data_model_mismatch_exits_2(workspace, tmp_path, capsys):

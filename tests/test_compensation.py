@@ -35,10 +35,17 @@ def pruned_pair(rng, m=3, n=6, k=3, beta=0.5, rank=None, select=fp_backward):
         base = rng.standard_normal((rank, m, k, k))
         w = np.concatenate([base, 1.5 * base])
     layer = ConvLayer(w, activation="identity")
+    sel = select(flatten_filters(layer), beta)
+    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel))
+    return layer, pruned, sel
+
+
+def residual_filters(layer, sel):
+    """Each removed filter minus its reconstruction from the retained ones:
+    (|removed|, flat filter length), row r for filter sel.removed[r]."""
     a = flatten_filters(layer)
-    sel = select(a, beta)
-    update = compensate_output(identity_comp(layer), sel, a)
-    return layer, apply_pruning(layer, sel, update), sel, update
+    kept, dropped = list(sel.retained), list(sel.removed)
+    return (a[:, dropped] - a[:, kept] @ sel.coeffs[:, dropped]).T
 
 
 def test_identity_comp_shape(rng):
@@ -47,14 +54,16 @@ def test_identity_comp_shape(rng):
 
 
 def test_exact_when_filters_are_dependent(rng):
-    layer, pruned, sel, _ = pruned_pair(rng, n=8, beta=0.5, rank=4)
+    layer, pruned, sel = pruned_pair(rng, n=8, beta=0.5, rank=4)
     assert pruned.out_channels == 4
     assert pruned.width == 8
     x = rng.standard_normal((3, 6, 6))
     scale = np.linalg.norm(conv_forward(layer, x))
     diff = np.linalg.norm(conv_forward(layer, x) - conv_forward(pruned, x))
     assert diff <= 1e-10 * scale
-    assert np.abs(sel.per_target_error).max() <= 1e-12
+    a = flatten_filters(layer)
+    resid = a - a[:, list(sel.retained)] @ sel.coeffs
+    assert np.einsum("ij,ij->j", resid, resid).max() <= 1e-12
 
 
 def test_difference_equals_residual_response(rng):
@@ -65,13 +74,12 @@ def test_difference_equals_residual_response(rng):
     layer = ConvLayer(w, comp=g, activation="identity")
     a = flatten_filters(layer)
     sel = fp_omp(a, beta=0.5)
-    update = compensate_output(g, sel, a)
-    pruned = apply_pruning(layer, sel, update)
+    pruned = apply_pruning(layer, sel, compensate_output(g, sel))
 
     x = rng.standard_normal((3, 5, 5))
     z = conv_forward(layer, x)
     z_prime = conv_forward(pruned, x)
-    eps_weights = update.epsilons.reshape(-1, 3, 3, 3)
+    eps_weights = residual_filters(layer, sel).reshape(-1, 3, 3, 3)
     response = conv_forward_linear(ConvLayer(eps_weights), x)
     want = np.einsum("jhw,jk->khw", response, g[list(sel.removed)])
     np.testing.assert_allclose(z - z_prime, want, rtol=1e-8, atol=1e-10)
@@ -81,17 +89,16 @@ def test_rectangular_map_keeps_width(rng):
     layer = ConvLayer(rng.standard_normal((5, 2, 3, 3)), comp=rng.standard_normal((5, 9)))
     a = flatten_filters(layer)
     sel = fp_omp(a, beta=0.4)
-    update = compensate_output(layer.comp, sel, a)
-    pruned = apply_pruning(layer, sel, update)
+    pruned = apply_pruning(layer, sel, compensate_output(layer.comp, sel))
     assert pruned.out_channels == 3
     assert pruned.width == 9
     assert pruned.comp.shape == (3, 9)
 
 
 def test_zero_residual_epsilons(rng):
-    _, _, sel, update = pruned_pair(rng, n=8, beta=0.5, rank=4)
+    layer, _, sel = pruned_pair(rng, n=8, beta=0.5, rank=4)
     # not exactly zero: the refit carries the default ridge
-    assert np.abs(update.epsilons).max() <= 1e-8
+    assert np.abs(residual_filters(layer, sel)).max() <= 1e-8
 
 
 def test_compensate_shape_guards(rng):
@@ -99,9 +106,9 @@ def test_compensate_shape_guards(rng):
     a = flatten_filters(layer)
     sel = fp_omp(a, beta=0.5)
     with pytest.raises(ConsistencyError):
-        compensate_output(np.eye(3), sel, a)
+        compensate_output(np.eye(3), sel)
     with pytest.raises(ConsistencyError):
-        compensate_output(np.ones(4), sel, a)
+        compensate_output(np.ones(4), sel)
 
 
 def test_apply_pruning_guards(rng):
@@ -109,19 +116,29 @@ def test_apply_pruning_guards(rng):
     other = rand_layer(rng, 2, 5)
     a = flatten_filters(layer)
     sel = fp_omp(a, beta=0.5)
-    update = compensate_output(identity_comp(layer), sel, a)
+    g_prime = compensate_output(identity_comp(layer), sel)
     with pytest.raises(ConsistencyError):
-        apply_pruning(other, sel, update)
+        apply_pruning(other, sel, g_prime)
     wrong_sel = fp_omp(a, beta=0.25)
     with pytest.raises(ConsistencyError, match="2 rows for 3 retained"):
-        apply_pruning(layer, wrong_sel, update)
+        apply_pruning(layer, wrong_sel, g_prime)
+
+
+def test_apply_pruning_owns_its_arrays(rng):
+    layer = rand_layer(rng, 2, 5)
+    sel = fp_backward(flatten_filters(layer), beta=0.4)
+    g_prime = compensate_output(identity_comp(layer), sel)
+    pruned = apply_pruning(layer, sel, g_prime)
+    assert not np.shares_memory(pruned.weights, layer.weights)
+    assert not np.shares_memory(pruned.comp, g_prime)
+    np.testing.assert_array_equal(pruned.comp, g_prime)
 
 
 def test_pruned_layer_preserves_activation(rng):
     layer = rand_layer(rng, 2, 5, activation="relu")
     a = flatten_filters(layer)
     sel = fp_backward(a, beta=0.4)
-    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel, a))
+    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel))
     assert pruned.activation == "relu"
     assert pruned.weights.shape == (3, 2, 3, 3)
     np.testing.assert_array_equal(pruned.weights, layer.weights[list(sel.retained)])
@@ -146,16 +163,15 @@ def test_compensation_shapes_and_identity(seed, n, m, k, width, beta, backward):
     )
     a = flatten_filters(layer)
     sel = (fp_backward if backward else fp_omp)(a, beta)
-    update = compensate_output(layer.comp, sel, a)
+    g_prime = compensate_output(layer.comp, sel)
     t = len(sel.retained)
-    assert update.g_prime.shape == (t, width)
-    assert update.epsilons.shape == (n - t, m * k * k)
-    pruned = apply_pruning(layer, sel, update)
+    assert g_prime.shape == (t, width)
+    pruned = apply_pruning(layer, sel, g_prime)
 
     x = rng.standard_normal((m, 4, 4))
     z = conv_forward(layer, x)
     z_prime = conv_forward(pruned, x)
-    eps_w = update.epsilons.reshape(-1, m, k, k)
+    eps_w = residual_filters(layer, sel).reshape(-1, m, k, k)
     if eps_w.shape[0]:
         response = conv_forward_linear(ConvLayer(eps_w), x)
         want = np.einsum("jhw,jk->khw", response, layer.comp[list(sel.removed)])

@@ -72,3 +72,11 @@ def test_suites_are_seed_sensitive():
     b = deletion_suite(seed=2, trials=5)
     assert a.ok and b.ok
     assert a.max_deviation != b.max_deviation
+
+
+def test_compensation_oracle_catches_a_broken_map(monkeypatch):
+    # retained rows alone: the removed filters are dropped, not folded in
+    monkeypatch.setattr(oracles, "compensate_output", lambda g, sel: g[list(sel.retained)])
+    result = compensation_suite(trials=5)
+    assert not result.ok
+    assert result.failures == list(range(5))

@@ -26,7 +26,7 @@ from convprune import (
     run_selector,
     uniform_baseline,
 )
-from convprune import nets, search
+from convprune import search
 from convprune.nets import conv_forward_linear
 from convprune.search import PropagationBuffer
 
@@ -86,8 +86,7 @@ def test_relative_error_hbgs_matches_naive(rng):
     data = rng.standard_normal((4, 2, 5, 5))
     refs = collect_layer_outputs(net, data)
     candidates = all_candidates(net, n_prune=2)
-    errors, skips = relative_error_hbgs(net, candidates, data, refs)
-    assert skips == 0
+    errors = relative_error_hbgs(net, candidates, data, refs)
 
     want = np.zeros(3)
     for i, x in enumerate(data):
@@ -103,18 +102,21 @@ def test_relative_error_hbgs_unscored_layers(rng):
     data = rng.standard_normal((2, 2, 4, 4))
     refs = collect_layer_outputs(net, data)
     candidates = [None, all_candidates(net)[1]]
-    errors, _ = relative_error_hbgs(net, candidates, data, refs)
+    errors = relative_error_hbgs(net, candidates, data, refs)
     assert errors[0] == math.inf
     assert np.isfinite(errors[1])
 
 
-def test_relative_error_hbgs_skips_zero_refs(rng):
+def test_relative_error_hbgs_skips_zero_refs(rng, monkeypatch):
     net = rand_net(rng, [2, 4, 4], k=3)
     data = np.zeros((2, 2, 4, 4))
     refs = collect_layer_outputs(net, data)
-    errors, skips = relative_error_hbgs(net, all_candidates(net), data, refs)
-    assert skips == 4  # 2 examples x 2 scored layers
+    candidates = all_candidates(net)
+    calls = conv_log(monkeypatch)
+    errors = relative_error_hbgs(net, candidates, data, refs)
     np.testing.assert_array_equal(errors, np.zeros(2))
+    # a skipped reference runs no candidate conv; only the chain runs
+    assert calls == [net.layers[0]] * len(data)
 
 
 # ------------------------------------------------------------- tree scoring
@@ -373,7 +375,13 @@ def replay_hbgs(net, data, cfg, rounds):
             else None
             for layer in net.layers
         ]
-        errors, skips = relative_error_hbgs(net, candidates, data, refs)
+        errors = relative_error_hbgs(net, candidates, data, refs)
+        skips = sum(
+            float(np.linalg.norm(per_layer[c])) == 0.0
+            for per_layer in refs
+            for c, cand in enumerate(candidates)
+            if cand is not None
+        )
         chosen = int(np.argmin(errors))
         net = net.with_layer(chosen, candidates[chosen])
         replayed.append(
@@ -439,16 +447,18 @@ def conv_log(monkeypatch):
 
 
 def convs_per_round(driver, net, data, cfg, calls, monkeypatch):
-    """Per round, the layer position of each conv run while scoring it."""
+    """Per round, (layer position, "net" or "candidate") of each conv run
+    while scoring it; the kind says whether the conv ran a layer of the
+    network or a candidate."""
     rounds = []
     commit = search._RoundLoop.commit
 
     def counted_commit(loop, *args):
         where = {}
         for c, layer in enumerate(loop.net.layers):
-            where[id(layer)] = c
+            where[id(layer)] = (c, "net")
             if c in loop.cache:
-                where[id(loop.cache[c][0])] = c
+                where[id(loop.cache[c][0])] = (c, "candidate")
         rounds.append([where[id(layer)] for layer in calls])
         calls.clear()
         commit(loop, *args)
@@ -469,13 +479,16 @@ def test_hbgts_round_after_commit_skips_the_unchanged_prefix(rng, monkeypatch):
     assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
     # a full tree: row c runs the chain, candidate c and c live hypotheses
     assert len(rounds[0]) == sum(c + 2 for c in range(4)) == 14
-    for prev, positions in zip(res.rounds, rounds[1:]):
+    for prev, convs in zip(res.rounds, rounds[1:]):
         k = prev.chosen_layer
-        assert min(positions) == k
+        assert min(c for c, _ in convs) == k
         # row k: the new candidate and the hypotheses of layers < k; row
         # c > k: the candidate and all c hypotheses, the chain being the
         # committed hypothesis column of last round
-        assert len(positions) == (k + 1) + sum(c + 1 for c in range(k + 1, 4))
+        assert len(convs) == (k + 1) + sum(c + 1 for c in range(k + 1, 4))
+        assert sorted(c for c, kind in convs if kind == "candidate") == list(
+            range(k, 4)
+        )
 
 
 def test_hbgts_commit_frees_stale_tree_entries(rng, monkeypatch):
@@ -506,11 +519,14 @@ def test_hbgs_round_after_commit_skips_unchanged_layers(rng, monkeypatch):
         hbgs, net, data, PruneConfig(beta=0.3, alpha=2), calls, monkeypatch
     )
     assert len(rounds) == len(res.rounds) > 3
-    # the references, taken before round 1, and one candidate per layer
-    assert sorted(rounds[0]) == [c for c in range(4) for _ in range(2 * len(data))]
-    for prev, positions in zip(res.rounds, rounds[1:]):
-        k = prev.chosen_layer
-        assert sorted(positions) == [c for c in range(k, 4) for _ in data]
+    assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
+    # one candidate conv per example and scored layer; the chain convs are
+    # counted by test_hbgs_chain_convs_per_round
+    for prev, convs in zip([None] + list(res.rounds), rounds):
+        k = prev.chosen_layer if prev else 0
+        assert sorted(c for c, kind in convs if kind == "candidate") == [
+            c for c in range(k, 4) for _ in data
+        ]
 
 
 def test_hbgs_chain_convs_per_round(rng, monkeypatch):
@@ -518,25 +534,14 @@ def test_hbgs_chain_convs_per_round(rng, monkeypatch):
     # with it the chain, moves between rounds
     net = rand_net(rng, [3, 10, 8, 6, 6], k=3, activation="relu")
     data = rng.standard_normal((2, 3, 4, 4))
-    chain = []
-
-    def conv(layer, x):
-        chain.append(layer)
-        return conv_forward_linear(layer, x)
-
-    # the chain runs through nets.conv_forward; references and candidates
-    # run through search's own binding
-    monkeypatch.setattr(nets, "conv_forward_linear", conv)
-    per_round = []
-    commit = search._RoundLoop.commit
-
-    def counted_commit(loop, *args):
-        per_round.append(len(chain))
-        chain.clear()
-        commit(loop, *args)
-
-    monkeypatch.setattr(search._RoundLoop, "commit", counted_commit)
-    res = hbgs(net, data, PruneConfig(beta=0.5, alpha=2, floor=3))
+    calls = conv_log(monkeypatch)
+    res, rounds = convs_per_round(
+        hbgs, net, data, PruneConfig(beta=0.5, alpha=2, floor=3), calls, monkeypatch
+    )
+    # chain convs run layers of the network; round 1 also runs the
+    # references, one conv per example and layer
+    per_round = [sum(kind == "net" for _, kind in convs) for convs in rounds]
+    per_round[0] -= len(data) * len(net)
     want = []
     k = 0  # layers before last round's commit are not scored again
     for r in res.rounds:
@@ -581,16 +586,11 @@ def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
     refs = collect_layer_outputs(net, data)
     candidates = all_candidates(net)
     candidates[2] = candidates[3] = None
-    chain = []
-
-    def conv(layer, x):
-        chain.append(layer)
-        return conv_forward_linear(layer, x)
-
-    monkeypatch.setattr(nets, "conv_forward_linear", conv)
+    calls = conv_log(monkeypatch)
     relative_error_hbgs(net, candidates, data, refs)
     # the chain only feeds layer 1, the last one with a candidate
-    assert chain == [net.layers[0]] * len(data)
+    per_example = [candidates[0], net.layers[0], candidates[1]]
+    assert calls == per_example * len(data)
 
 
 def test_random_baseline_builds_through_the_candidate_cache(rng, monkeypatch):
