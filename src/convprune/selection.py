@@ -5,11 +5,14 @@ columns are the filters; selection keeps the subset of columns that
 reconstructs all columns best in the least-squares sense.  Both selectors
 take A itself and work on its Gram matrix C = A^T A, formed once per call: a
 greedy forward pass (orthogonal matching pursuit over the filters scaled to
-unit norm, one ridged solve per step) and a backward elimination pass that
-removes one filter at a time using a closed-form expression for the exact
-error increase of each removal, with the inverse Gram matrix and the
-least-squares coefficients downdated by a rank-1 update after each removal.
-Every Gram system goes through one ridged solve.
+unit norm, one ridged solve per step) and a backward elimination pass.  The
+backward pass first removes, in ascending order, the filters that lie in the
+span of the filters after them, found by one rank-revealing Cholesky pass
+over C; on the full-rank rest it removes one filter at a time using a
+closed-form expression for the exact error increase of each removal, with
+the inverse Gram matrix and the least-squares coefficients downdated by a
+rank-1 update after each removal.  Every Gram system goes through one ridged
+solve.
 """
 from __future__ import annotations
 
@@ -33,6 +36,11 @@ TIE_SLACK = 1e-6
 # removed column's variance-inflation factor gamma_k (C_kk + ridge) exceeds
 # this: the downdate cancels about log10 of that factor in digits.
 REFACTOR_VIF = 1e6
+
+# A filter whose Schur pivot against the independent filters after it is at
+# most this fraction of its own energy C_jj (a relative residual of 1e-5)
+# lies in their span: backward elimination removes it at no cost.
+DEPENDENT_PIVOT = 1e-10
 
 
 class SingularGramError(np.linalg.LinAlgError):
@@ -246,13 +254,44 @@ def _argmin_tied(scores: np.ndarray, scale: float) -> int:
     return int(np.argmax(tied))
 
 
+def _dependent_filters(gram: np.ndarray) -> list[int]:
+    """Columns in the span of the independent columns after them, ascending.
+
+    One rank-revealing Cholesky pass over C from the last column down: a
+    column is dependent when its Schur pivot is at most DEPENDENT_PIVOT of
+    C_jj, and only independent columns are eliminated from the columns
+    before it.  The common full-rank case is one LAPACK Cholesky of the
+    reversed C whose pivots all pass.
+    """
+    energy = np.diag(gram)
+    try:
+        pivots = np.diag(np.linalg.cholesky(gram[::-1, ::-1]))[::-1] ** 2
+    except np.linalg.LinAlgError:
+        pivots = None
+    if pivots is not None and np.all(pivots > DEPENDENT_PIVOT * energy):
+        return []
+    work = gram.copy()
+    dependent: list[int] = []
+    for j in range(len(work) - 1, -1, -1):
+        pivot = work[j, j]
+        if pivot <= DEPENDENT_PIVOT * energy[j]:
+            dependent.append(j)
+        elif j:
+            col = work[:j, j]
+            work[:j, :j] -= np.outer(col, col / pivot)
+    return dependent[::-1]
+
+
 def fp_backward(a: np.ndarray, beta: float) -> SelectionResult:
     """Backward filter elimination.
 
-    Starts from all columns and repeatedly removes the one whose deletion
-    increases the total reconstruction error (against all original columns,
-    fixed) the least, per elimination_scores.  Ties go to the smallest
-    original index.  C = A^T A is formed once; the elimination state is
+    Removes the filters whose deletion increases the total reconstruction
+    error (against all original columns, fixed) the least.  Ties go to the
+    smallest original index, so in exact arithmetic the first removals are
+    the dependent filters (_dependent_filters), in ascending order: up to
+    n - t of them go first in one Gram-space pass.  On the full-rank rest
+    the pass repeatedly removes the filter with the smallest
+    elimination_scores.  C = A^T A is formed once; the elimination state is
     downdated each step and refactorized from blocks of C only after
     removing a nearly dependent column.  No normalization is applied at any
     point.
@@ -260,11 +299,16 @@ def fp_backward(a: np.ndarray, beta: float) -> SelectionResult:
     n = a.shape[1]
     t = retained_count(n, beta)
     scale = float(np.einsum("ij,ij->", a, a)) / n
-    keep = list(range(n))
-    order: list[int] = []
     gram = a.T @ a
+    order = _dependent_filters(gram)[: n - t] if n > t else []
+    dropped = set(order)
+    keep = [j for j in range(n) if j not in dropped]
     ridge = default_ridge(a)
-    state = gram_inverse(gram, gram, ridge) if n > t else None
+    state = (
+        gram_inverse(gram[np.ix_(keep, keep)], gram[keep], ridge)
+        if len(keep) > t
+        else None
+    )
     while len(keep) > t:
         k = _argmin_tied(elimination_scores(state), scale)
         removed = keep.pop(k)

@@ -201,12 +201,17 @@ def test_criterion_08_backward_faster_than_omp():
     a = rng.standard_normal((576, 256))  # K^2 m = 576 rows, n = 256 filters
     beta = 5 / 256
 
-    t0 = time.perf_counter()
-    fp_backward(a, beta)
-    t_back = time.perf_counter() - t0
-    t0 = time.perf_counter()
-    fp_omp(a, beta)
-    t_omp = time.perf_counter() - t0
+    def best_of_3(select):
+        select(a, beta)  # the first call in a process pays one-time set-up
+        times = []
+        for _ in range(3):
+            t0 = time.perf_counter()
+            select(a, beta)
+            times.append(time.perf_counter() - t0)
+        return min(times)
+
+    t_back = best_of_3(fp_backward)
+    t_omp = best_of_3(fp_omp)
 
     ratio = t_back / t_omp
     detail = (

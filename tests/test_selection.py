@@ -16,8 +16,11 @@ from convprune import (
     planted_network,
     retained_count,
 )
+from convprune import selection
 from convprune.selection import (
+    REFACTOR_VIF,
     RIDGE_SCALE,
+    TIE_SLACK,
     default_ridge,
     downdate_gram,
     elimination_scores,
@@ -315,9 +318,19 @@ def test_fp_backward_handles_rank_deficient_bank(rng):
     assert sel.residual_error <= 1e-9 * np.sum(a * a)
 
 
-def test_fp_backward_survives_planted_banks():
+def test_fp_backward_survives_planted_banks(monkeypatch):
     # planted banks are rank-deficient by construction; backward elimination
-    # must neither raise nor miss an exact fit while beta <= redundancy
+    # must neither raise nor miss an exact fit while beta <= redundancy, and
+    # with the dependent filters gone first it never refactorizes
+    inverses = 0
+    real_inverse = selection.gram_inverse
+
+    def counted_inverse(*args):
+        nonlocal inverses
+        inverses += 1
+        return real_inverse(*args)
+
+    monkeypatch.setattr(selection, "gram_inverse", counted_inverse)
     failures = []
     for channels in (8, 16, 32, 48, 64):
         for redundancy in (0.1, 0.25, 0.5, 0.75):
@@ -327,6 +340,7 @@ def test_fp_backward_survives_planted_banks():
                 energy = float(np.sum(a * a))
                 for beta in (0.2, 0.4, 0.6):
                     case = (channels, redundancy, seed, beta)
+                    inverses = 0
                     try:
                         sel = fp_backward(a, beta)
                     except np.linalg.LinAlgError as exc:
@@ -334,7 +348,90 @@ def test_fp_backward_survives_planted_banks():
                         continue
                     if beta <= redundancy and sel.residual_error > 1e-9 * energy:
                         failures.append((case, sel.residual_error / energy))
+                    if inverses > 1:
+                        failures.append((case, f"{inverses} gram_inverse calls"))
     assert failures == []
+
+
+def span_dependent_columns(a):
+    """Columns in the span of the columns after them, by data-space least
+    squares on each trailing block."""
+    dependent = []
+    for j in range(a.shape[1] - 1):
+        rest = a[:, j + 1:]
+        coef, *_ = np.linalg.lstsq(rest, a[:, j], rcond=None)
+        resid = a[:, j] - rest @ coef
+        if np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(a[:, j]):
+            dependent.append(j)
+    return dependent
+
+
+def test_fp_backward_removes_dependent_filters_first():
+    # exact ties go to the smallest index, so backward elimination removes
+    # the filters lying in the span of the filters after them, ascending
+    for channels in (8, 16, 32, 64):
+        for redundancy in (0.25, 0.5, 0.75):
+            for seed in range(5):
+                net, _ = planted_network(1, channels, 3, redundancy, seed)
+                a = flatten_filters(net.layers[0])
+                dependent = span_dependent_columns(a)
+                for beta in (0.2, 0.4, 0.6):
+                    if beta > redundancy:
+                        continue
+                    drop = channels - retained_count(channels, beta)
+                    assert len(dependent) >= drop
+                    sel = fp_backward(a, beta)
+                    case = (channels, redundancy, seed, beta)
+                    assert sel.order == tuple(dependent[:drop]), case
+
+
+def test_fp_backward_wide_rank_deficient_bank():
+    # a 1x1 layer widening 8 channels to 256: rank 8, so 248 filters are
+    # dependent and half the bank goes without error
+    layer = ConvLayer(np.random.default_rng(8).standard_normal((256, 8, 1, 1)))
+    a = flatten_filters(layer)
+    sel = fp_backward(a, beta=0.5)
+    assert len(sel.retained) == 128
+    assert sel.residual_error <= 1e-9 * np.sum(a * a)
+
+
+def plain_elimination(a, beta):
+    """Backward elimination by elimination_scores alone, from all filters:
+    the loop fp_backward runs once no dependent filter is left."""
+    n = a.shape[1]
+    t = retained_count(n, beta)
+    scale = float(np.einsum("ij,ij->", a, a)) / n
+    keep = list(range(n))
+    order = []
+    gram = a.T @ a
+    ridge = default_ridge(a)
+    state = gram_inverse(gram, gram, ridge) if n > t else None
+    while len(keep) > t:
+        scores = elimination_scores(state)
+        k = int(np.argmax(scores <= scores.min() + TIE_SLACK * scale))
+        removed = keep.pop(k)
+        order.append(removed)
+        if len(keep) > t:
+            vif = state.matrix[k, k] * (gram[removed, removed] + ridge)
+            if vif > REFACTOR_VIF:
+                state = gram_inverse(gram[np.ix_(keep, keep)], gram[keep], ridge)
+            else:
+                state = downdate_gram(state, k)
+    return tuple(order), least_squares_coeffs(a[:, sorted(keep)], a)
+
+
+def test_fp_backward_full_rank_matches_plain_elimination():
+    # no filter of a full-rank bank is dependent, so the dependent pass must
+    # leave order and coefficients bit for bit as the plain loop gives them
+    rng = np.random.default_rng(1234)
+    for _ in range(200):
+        n = int(rng.integers(2, 65))
+        a = rng.standard_normal((int(rng.integers(n, 4 * n + 1)), n))
+        beta = float(rng.uniform(0.0, 0.9))
+        order, coeffs = plain_elimination(a, beta)
+        sel = fp_backward(a, beta)
+        assert sel.order == order, (a.shape, beta)
+        assert sel.coeffs.tobytes() == coeffs.tobytes(), (a.shape, beta)
 
 
 @pytest.mark.parametrize("select", [fp_omp, fp_backward])
