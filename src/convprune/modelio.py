@@ -90,10 +90,16 @@ def _write_floats(fh, arr: np.ndarray, sep: str) -> None:
 
 
 def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A flat JSON list of numbers as a float64 array of the given shape."""
-    flat = np.asarray(values, dtype=np.float64)
-    if flat.ndim != 1:
+    """A flat JSON list of numbers as a float64 array of the given shape.
+
+    A value that is not a JSON number is an error, as in the shape fields,
+    although NumPy would convert a numeric string or a bool.
+    """
+    # the value types, checked in C with no bytecode per value: the dtype
+    # NumPy infers for [0.5, true] is float64, which hides the bool
+    if not isinstance(values, list) or not {float, int}.issuperset(map(type, values)):
         raise ModelIOError(f"{what} is not a flat list of numbers")
+    flat = np.asarray(values, dtype=np.float64)
     expected = math.prod(shape)
     if flat.size != expected:
         raise ModelIOError(f"{what} holds {flat.size} values, expected {expected}")
@@ -124,7 +130,7 @@ def _layer_from_json(entry: dict, index: int) -> ConvLayer:
         return ConvLayer(weights=weights, comp=comp, activation=activation)
     except ModelIOError as exc:
         raise ModelIOError(f"layer {index}: {exc}") from None
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelIOError(f"layer {index}: missing or malformed field ({exc})") from None
 
 
@@ -168,8 +174,8 @@ def read_model(path) -> tuple[Network, tuple[int, int, int]]:
         entries = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None
-    if len(shape) != 3:
-        raise ModelIOError(f"input_shape must have 3 entries, got {shape}")
+    if len(shape) != 3 or min(shape) < 1:
+        raise ModelIOError(f"input_shape must be 3 positive integers, got {shape}")
     layers = [_layer_from_json(entry, i) for i, entry in enumerate(entries)]
     try:
         net = Network(layers)

@@ -247,18 +247,18 @@ def tree_suite(
         worst = 0.0
         for _ in range(n_examples):
             x = rng.standard_normal((n, 5, 5))
-            buf = propagate_tree(net, candidates, x)
+            tree = propagate_tree(net, candidates, x)
             plain = forward_all_layers(net, x)[-1]
             denom = max(float(np.linalg.norm(plain)), 1e-300)
             worst = max(
-                worst, float(np.linalg.norm(buf.final_reference - plain)) / denom
+                worst, float(np.linalg.norm(tree.chain[-1] - plain)) / denom
             )
             for c, cand in enumerate(candidates):
                 if cand is None:
                     continue
                 swapped = net.with_layer(c, cand)
                 naive = forward_all_layers(swapped, x)[-1]
-                dev = float(np.linalg.norm(buf.hypothesis_final(c) - naive))
+                dev = float(np.linalg.norm(tree.columns[c][-1] - naive))
                 worst = max(worst, dev / max(float(np.linalg.norm(naive)), 1e-300))
         out.record(trial, worst)
     return out

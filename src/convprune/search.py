@@ -6,18 +6,19 @@ until the parameter budget is met.  Two scoring rules are provided:
 
 - hbgs compares each candidate against the original network's output *at
   that layer* (layerwise error, one forward pass per example per round);
-- hbgts propagates every candidate to the *final* output through a buffer
-  of composite passes: one batched tree pass over the whole dataset per
-  round instead of one pass per candidate.
+- hbgts propagates every candidate to the *final* output in a composite
+  tree pass: one batched pass over the whole dataset per round instead of
+  one pass per candidate.
 
 Rounds are incremental.  A commit at layer k changes only layer k, so the
-next round reuses what it left unchanged: hbgts keeps the tree entries of
-layers < k and takes the committed hypothesis column as its new unpruned
-chain, so only the new layer-k candidate, the hypotheses of layers < k
-from row k on, and the candidates of layers > k run a conv; hbgs takes the
-errors of layers < k from the last round's record and scores only layers
->= k.  Reused values are the very arrays and floats the same computation
-produced, so results are exactly those of a full recompute.
+next round reuses what it left unchanged: hbgts keeps its tree's chain up
+to layer k's input, takes the committed candidate's column as the chain
+from layer k on, and keeps each column c < k up to layer k's input, so
+only the columns of layers < k from layer k on and the columns of layers
+>= k run a conv; hbgs takes the errors of layers < k from the last round's
+record and scores only layers >= k.  Reused values are the very arrays and
+floats the same computation produced, so results are exactly those of a
+full recompute.
 
 Every driver runs the same round loop and commits through the same
 bookkeeping, so their reports are directly comparable: hbgs and hbgts take
@@ -27,7 +28,7 @@ the uniform baseline commits all of its layers in a single round.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -179,104 +180,66 @@ def relative_error_hbgs(
 
 
 @dataclass
-class PropagationBuffer:
-    """Hypothesis outputs of a batch (or one example) after a composite tree pass.
+class PropagationTree:
+    """Outputs of a composite tree pass over a batch (or one example).
 
-    rows[c] (c = 1..C) holds c+1 tensors: rows[c][0] is the unpruned chain,
-    rows[c][1] applies the layer-c candidate at layer c, and rows[c][j]
-    (j >= 2) carries the layer-(c-j+1) candidate propagated forward through
-    unpruned layers.  rows[0] is the input; every other tensor is a
-    post-activation output.  Every tensor has the leading batch axis of the
-    input, if it had one.
+    chain[c] is the input of layer c in the unpruned network, so chain[0]
+    is the pass's input and chain[-1] the final reference.  columns[c]
+    holds the outputs of layers c, c+1, ... with layer c swapped for its
+    candidate, so columns[c][-1] is that hypothesis's final output; a layer
+    with no candidate has no column (None).  Every tensor has the leading
+    batch axis of the input, if it had one.
     """
 
-    rows: list[list[np.ndarray]] = field(default_factory=list)
-
-    def hypothesis_final(self, layer_index: int) -> np.ndarray:
-        """Final output under the candidate at 0-based layer_index."""
-        n_layers = len(self.rows) - 1
-        return self.rows[n_layers][n_layers - layer_index]
-
-    @property
-    def final_reference(self) -> np.ndarray:
-        return self.rows[-1][0]
-
-
-# A tree entry: (layer, input, output) of one step, keyed by
-# (row, id(layer), id(input)).  The entry holds the layer and the input, so
-# their ids stay unique while it is kept.
-TreeMemo = dict
-
-
-def _drop_stale(
-    memo: TreeMemo, net: Network, candidates: list[ConvLayer | None], x: np.ndarray
-) -> None:
-    """Drop the memo entries that a pass over (net, candidates, x) cannot hit.
-
-    An entry is kept when its layer is the net's or the candidate's layer of
-    its row and its input is x or the output of a kept entry; memo is in
-    row order, so one sweep decides every entry.
-    """
-    live = {id(x)}
-    for key, (lay, inp, out) in list(memo.items()):
-        c = key[0]
-        if (
-            c < len(net)
-            and (lay is net.layers[c] or lay is candidates[c])
-            and id(inp) in live
-        ):
-            live.add(id(out))
-        else:
-            del memo[key]
+    chain: list[np.ndarray]
+    columns: list[list[np.ndarray] | None]
 
 
 def propagate_tree(
     net: Network,
     candidates: list[ConvLayer | None],
     x: np.ndarray,
-    memo: TreeMemo | None = None,
-) -> PropagationBuffer:
+    known: PropagationTree | None = None,
+) -> PropagationTree:
     """One composite forward pass carrying every candidate hypothesis.
 
     x is a batch (N, channels, H, W) or a single example (channels, H, W).
-    A layer with no candidate contributes the unpruned output as its
-    hypothesis (aliased, not recomputed, and kept aliased downstream).
-
-    memo, when given, holds the entries of the previous pass and is
-    rewritten with this pass's.  A step whose row, layer and input are the
-    same objects as a kept entry's returns that entry's output instead of
-    running a conv.  The caller must drop the memo if it changes a layer or
-    an input array in place.
+    known, when given, is a partial tree of this very pass: a prefix of
+    the chain, starting at x, and a prefix of each column.  It is extended
+    in place, and only the entries it lacks run a conv.
     """
     if len(candidates) != len(net):
         raise ValueError(
             f"{len(candidates)} candidates for {len(net)} layers"
         )
-    x = np.asarray(x, dtype=np.float64)
-    reuse: TreeMemo = {}
-    if memo:
-        _drop_stale(memo, net, candidates, x)  # before computing anything
-        reuse = memo.copy()
-        memo.clear()
-    rows: list[list[np.ndarray]] = [[x]]
-    for c, layer in enumerate(net.layers):
-        prev = rows[-1]
+    if known is None:
+        x = np.asarray(x, dtype=np.float64)
+        known = PropagationTree([x], [None] * len(net))
+    chain = known.chain
+    for layer in net.layers[len(chain) - 1 :]:
+        chain.append(_layer_output(layer, chain[-1]))
+    for c, cand in enumerate(candidates):
+        column = None
+        if cand is not None:
+            column = known.columns[c] or [_layer_output(cand, chain[c])]
+            for layer in net.layers[c + len(column) :]:
+                column.append(_layer_output(layer, column[-1]))
+        known.columns[c] = column
+    return known
 
-        def step(lay: ConvLayer, inp: np.ndarray) -> np.ndarray:
-            key = (c, id(lay), id(inp))
-            hit = reuse.get(key)
-            out = hit[2] if hit is not None else _layer_output(lay, inp)
-            if memo is not None:
-                memo[key] = (lay, inp, out)
-            return out
 
-        row = [step(layer, prev[0])]
-        cand = candidates[c]
-        row.append(step(cand, prev[0]) if cand is not None else row[0])
-        for j in range(1, len(prev)):
-            row.append(row[0] if prev[j] is prev[0] else step(layer, prev[j]))
-        rows.append(row)
-    return PropagationBuffer(rows)
+def _after_commit(tree: PropagationTree, k: int) -> PropagationTree:
+    """The entries of tree that a commit at layer k leaves unchanged.
+
+    The chain keeps the inputs of layers <= k and continues with the
+    committed column; each column c < k keeps the outputs of layers < k.
+    """
+    chain = tree.chain[: k + 1] + tree.columns[k]
+    columns = [
+        column[: k - c] if c < k and column is not None else None
+        for c, column in enumerate(tree.columns)
+    ]
+    return PropagationTree(chain, columns)
 
 
 def _relative_sum(refs: np.ndarray, outs: np.ndarray) -> tuple[float, int]:
@@ -328,9 +291,6 @@ class _RoundLoop:
         # candidate cache: layer index -> (candidate, selection); valid while
         # that layer's weights and comp are untouched
         self.cache: dict[int, tuple[ConvLayer, SelectionResult]] = {}
-        # hbgts's tree entries from the last round, reused only while the
-        # same layer objects are unchanged (hbgs reuses self.rounds instead)
-        self.tree: TreeMemo = {}
 
     def reduction(self) -> float:
         return param_reduction(
@@ -369,13 +329,6 @@ class _RoundLoop:
         )
         for c in pruned:
             self.cache.pop(c, None)
-        # free the tree entries this commit made stale now, before the next
-        # round builds its candidates
-        cached = [
-            self.cache[c][0] if c in self.cache else None
-            for c in range(len(self.net))
-        ]
-        _drop_stale(self.tree, self.net, cached, self.data)
         self.rounds.append(
             PruneRound(
                 t=t,
@@ -465,17 +418,20 @@ def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
 
     Every candidate hypothesis is carried to the final layer by one
     composite tree pass over the whole dataset per round, so a round costs
-    len(data) example passes rather than len(net) * len(data).  The pass
-    reuses last round's tree entries that the commit left unchanged.
+    len(data) example passes rather than len(net) * len(data).  A commit at
+    layer k changes only layer k, so the next pass starts from last round's
+    tree with the entries the commit left unchanged.
     """
+    tree = None
 
     def score(loop: _RoundLoop, candidates, eligible):
-        buf = propagate_tree(loop.net, candidates, loop.data, memo=loop.tree)
+        nonlocal tree
+        if tree is not None:  # drop the stale entries before any conv
+            tree = _after_commit(tree, loop.rounds[-1].chosen_layer)
+        tree = propagate_tree(loop.net, candidates, loop.data, known=tree)
         errors = np.full(len(candidates), math.inf)
         for c in eligible:  # same references, so the same skips for every c
-            errors[c], skips = _relative_sum(
-                buf.final_reference, buf.hypothesis_final(c)
-            )
+            errors[c], skips = _relative_sum(tree.chain[-1], tree.columns[c][-1])
         return errors, len(loop.data), skips
 
     return _run_rounds(net, data, cfg, _argmin(score))

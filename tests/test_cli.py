@@ -215,6 +215,16 @@ def test_file_errors_exit_2(workspace, capsys):
         edit(doc)
         broken.write_text(json.dumps(doc))
         assert run("eval", "--model", str(broken), "--data", str(data)) == 2
+    # a zero input extent is rejected when the model is read, before any
+    # selection runs or any output is written
+    doc = json.loads(model.read_text())
+    doc["input_shape"][1] = 0
+    broken.write_text(json.dumps(doc))
+    report = tmp_path / "o.report.json"
+    assert not (tmp_path / "o.json").exists() and not report.exists()
+    assert run("prune", "--model", str(broken), "--data", str(data),
+               "--beta", "0.3", "--out", out, "--report", str(report)) == 2
+    assert not (tmp_path / "o.json").exists() and not report.exists()
     assert run("eval", "--model", str(model), "--data", str(data),
                "--reference-model", str(tmp_path / "ghost.json")) == 2
     # calibration data must be finite, as model weights must

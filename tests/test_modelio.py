@@ -213,6 +213,7 @@ def test_read_model_diagnostics(rng, tmp_path):
     for field, value in [
         ("weights", 5),
         ("weights", ["x"] * len(doc["layers"][0]["weights"])),
+        ("weights", [10**400] + doc["layers"][0]["weights"][1:]),
         ("weights", [[v] for v in doc["layers"][0]["weights"]]),
         ("weights", [[1.0, 2.0], 3.0]),
         ("out_channels", "abc"),
@@ -251,6 +252,29 @@ def test_read_model_diagnostics(rng, tmp_path):
         broken["input_shape"] = shape
         path.write_text(json.dumps(broken))
         with pytest.raises(ModelIOError, match="must be an integer"):
+            read_model(path)
+    for shape in ([2, 0, 4], [2, 4, -4]):
+        broken = json.loads(json.dumps(doc))
+        broken["input_shape"] = shape
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="3 positive integers"):
+            read_model(path)
+
+    # weights are JSON numbers: NumPy would parse a numeric string and read
+    # true as 1.0, alone or among floats
+    weights = doc["layers"][0]["weights"]
+    for field, value in [
+        ("weights", [repr(v) for v in weights]),
+        ("weights", [True] + weights[1:]),
+        ("weights", [True] * len(weights)),
+        ("weights", weights[:-1] + [False]),
+        ("comp", {"shape": [3, 3], "data": [1.0] * 8 + ["1.0"]}),
+        ("comp", {"shape": [3, 3], "data": [True] + [1.0] * 8}),
+    ]:
+        broken = json.loads(json.dumps(doc))
+        broken["layers"][0][field] = value
+        path.write_text(json.dumps(broken))
+        with pytest.raises(ModelIOError, match="layer 0: .*not a flat list of numbers"):
             read_model(path)
 
     # bool is an int subclass in Python, and True would pass for a 1

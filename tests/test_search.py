@@ -28,7 +28,7 @@ from convprune import (
 )
 from convprune import search
 from convprune.nets import conv_forward_linear
-from convprune.search import PropagationBuffer
+from convprune.search import PropagationTree
 
 from conftest import rand_net
 
@@ -122,56 +122,53 @@ def test_relative_error_hbgs_skips_zero_refs(rng, monkeypatch):
 # ------------------------------------------------------------- tree scoring
 
 
-def test_propagate_tree_shape_and_aliasing(rng):
+def test_propagate_tree_layout(rng):
     net = rand_net(rng, [2, 4, 4, 3, 3], k=3, activation="relu")
     x = rng.standard_normal((2, 4, 4))
     candidates = all_candidates(net)
-    candidates[1] = None  # ineligible layer contributes its unpruned output
-    buf = propagate_tree(net, candidates, x)
-    assert [len(row) for row in buf.rows] == [1, 2, 3, 4, 5]
-    # rows[c+1][1] is layer c's fresh hypothesis
-    assert buf.rows[1][1] is not buf.rows[1][0]
-    assert buf.rows[2][1] is buf.rows[2][0]  # no candidate at layer 1
-    assert buf.rows[3][1] is not buf.rows[3][0]
-    # ... and stays aliased as it propagates, unlike live hypotheses
-    assert buf.rows[3][2] is buf.rows[3][0]
-    assert buf.rows[3][3] is not buf.rows[3][0]
-    assert buf.hypothesis_final(1) is buf.final_reference
-    assert buf.hypothesis_final(0) is not buf.final_reference
+    candidates[1] = None  # an ineligible layer has no column
+    tree = propagate_tree(net, candidates, x)
+    # the input of every layer and the final output; column c runs layers
+    # c to the last
+    assert len(tree.chain) == 5
+    assert [None if col is None else len(col) for col in tree.columns] == [
+        4, None, 2, 1
+    ]
 
 
-def test_propagate_tree_rows_match_definition(rng):
+def test_propagate_tree_entries_match_definition(rng):
     net = rand_net(rng, [2, 4, 3, 3], k=3, activation="relu")
     x = rng.standard_normal((2, 4, 4))
     candidates = all_candidates(net)
-    buf = propagate_tree(net, candidates, x)
-    # unpruned chain
-    np.testing.assert_array_equal(buf.rows[0][0], x)
+    tree = propagate_tree(net, candidates, x)
+    # unpruned chain: the input of every layer, then the final output
+    np.testing.assert_array_equal(tree.chain[0], x)
     outs = forward_all_layers(net, x)
     for c in range(3):
-        np.testing.assert_array_equal(buf.rows[c + 1][0], outs[c])
-    # fresh hypothesis: candidate applied to the unpruned input of its layer
+        np.testing.assert_array_equal(tree.chain[c + 1], outs[c])
+    # column c: candidate c on the unpruned input of its layer, then the
+    # unpruned layers after it
     inputs = [x] + outs[:-1]
     for c in range(3):
-        np.testing.assert_array_equal(
-            buf.rows[c + 1][1], conv_forward(candidates[c], inputs[c])
-        )
+        y = conv_forward(candidates[c], inputs[c])
+        np.testing.assert_array_equal(tree.columns[c][0], y)
+        for j, layer in enumerate(net.layers[c + 1 :], start=1):
+            y = conv_forward(layer, y)
+            np.testing.assert_array_equal(tree.columns[c][j], y)
 
 
 def test_tree_finals_match_swapped_networks(rng):
     net = rand_net(rng, [2, 5, 4, 4, 3], k=3, activation="relu")
     x = rng.standard_normal((2, 5, 5))
     candidates = all_candidates(net, n_prune=2)
-    buf = propagate_tree(net, candidates, x)
+    tree = propagate_tree(net, candidates, x)
     for c in range(4):
         swapped = net.with_layer(c, candidates[c])
         y = x
         for layer in swapped.layers[:-1]:
             y = conv_forward(layer, y)
         y = np.maximum(conv_forward_linear(swapped.layers[-1], y), 0.0)
-        np.testing.assert_allclose(
-            buf.hypothesis_final(c), y, rtol=1e-12, atol=1e-12
-        )
+        np.testing.assert_allclose(tree.columns[c][-1], y, rtol=1e-12, atol=1e-12)
 
 
 def test_propagate_tree_batch_matches_per_example_trees(rng):
@@ -179,30 +176,65 @@ def test_propagate_tree_batch_matches_per_example_trees(rng):
     data = rng.standard_normal((4, 2, 5, 5))
     candidates = all_candidates(net, n_prune=2)
     candidates[2] = None
-    buf = propagate_tree(net, candidates, data)
+    tree = propagate_tree(net, candidates, data)
     for i, x in enumerate(data):
         single = propagate_tree(net, candidates, x)
-        for row, want_row in zip(buf.rows, single.rows):
-            assert len(row) == len(want_row)
-            for got, want in zip(row, want_row):
+        assert len(tree.chain) == len(single.chain)
+        for got, want in zip(tree.chain, single.chain):
+            np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
+        for col, want_col in zip(tree.columns, single.columns):
+            if want_col is None:
+                assert col is None
+                continue
+            assert len(col) == len(want_col)
+            for got, want in zip(col, want_col):
                 np.testing.assert_allclose(got[i], want, rtol=1e-12, atol=1e-12)
-    # aliasing is per batch, exactly as for one example
-    assert buf.rows[3][1] is buf.rows[3][0]
-    assert buf.hypothesis_final(2) is buf.final_reference
+    assert tree.columns[2] is None
 
 
-def per_example_tree(net, candidates, data, memo=None):
-    """The tree pass run one example at a time, rows stacked into a batch.
+def per_example_tree(net, candidates, data, known=None):
+    """The tree pass run one example at a time, entries stacked into a batch.
 
-    memo is accepted for propagate_tree's signature and ignored: every
+    known is accepted for propagate_tree's signature and ignored: every
     round recomputes the whole tree.
     """
-    bufs = [propagate_tree(net, candidates, x) for x in data]
-    rows = [
-        [np.stack([b.rows[r][j] for b in bufs]) for j in range(len(row))]
-        for r, row in enumerate(bufs[0].rows)
+    trees = [propagate_tree(net, candidates, x) for x in data]
+
+    def stack(entries):
+        return [np.stack(per_example) for per_example in zip(*entries)]
+
+    columns = [
+        None if col is None else stack([t.columns[c] for t in trees])
+        for c, col in enumerate(trees[0].columns)
     ]
-    return PropagationBuffer(rows)
+    return PropagationTree(stack([t.chain for t in trees]), columns)
+
+
+def test_propagate_tree_extends_a_partial_tree(rng, monkeypatch):
+    net = rand_net(rng, [2, 5, 4, 3, 3], k=3, activation="relu")
+    data = rng.standard_normal((2, 2, 4, 4))
+    candidates = all_candidates(net)
+    full = propagate_tree(net, candidates, data)
+    # the inputs of layers 0-2, column 0 up to layer 2's input, column 1's
+    # first entry, and a column for a layer that has no candidate
+    candidates[2] = None
+    known = PropagationTree(
+        full.chain[:3], [full.columns[0][:2], full.columns[1][:1], full.columns[2], []]
+    )
+    kept = [*known.chain, *known.columns[0], *known.columns[1]]
+    calls = conv_log(monkeypatch)
+    tree = propagate_tree(net, candidates, data, known=known)
+    # layers 2 and 3 of the chain and of columns 0 and 1, and column 3
+    assert calls == [net.layers[2], net.layers[3]] * 3 + [candidates[3]]
+    reused = tree.chain[:3] + tree.columns[0][:2] + tree.columns[1][:1]
+    assert all(got is want for got, want in zip(reused, kept, strict=True))
+    assert tree.columns[2] is None
+    for got, want in zip(tree.chain, full.chain):
+        np.testing.assert_array_equal(got, want)
+    for c in (0, 1, 3):
+        assert len(tree.columns[c]) == len(full.columns[c])
+        for got, want in zip(tree.columns[c], full.columns[c]):
+            np.testing.assert_array_equal(got, want)
 
 
 def test_hbgts_batched_rounds_match_per_example_trees(rng, monkeypatch):
@@ -411,14 +443,18 @@ def test_incremental_rounds_equal_full_recompute(rng, driver, monkeypatch):
         full = replay_hbgs(net, data, cfg, incremental.rounds)
     else:
         commit = search._RoundLoop.commit
+        propagate = search.propagate_tree
 
         def forgetful_commit(loop, *args):
             commit(loop, *args)
             loop.cache.clear()
-            loop.tree.clear()
+
+        def forgetful_propagate(net, candidates, x, known=None):
+            return propagate(net, candidates, x)
 
         # with nothing kept across a commit, every round is recomputed in full
         monkeypatch.setattr(search._RoundLoop, "commit", forgetful_commit)
+        monkeypatch.setattr(search, "propagate_tree", forgetful_propagate)
         full = driver(net, data, cfg)
     assert incremental.status == "partial"
     assert len({r.chosen_layer for r in incremental.rounds}) > 1
@@ -494,21 +530,38 @@ def test_hbgts_round_after_commit_skips_the_unchanged_prefix(rng, monkeypatch):
 def test_hbgts_commit_frees_stale_tree_entries(rng, monkeypatch):
     net = rand_net(rng, [3, 10, 10, 10, 10], k=3, activation="relu")
     data = rng.standard_normal((2, 3, 4, 4))
-    kept_at_candidates = []
-    build = search._RoundLoop.candidates
+    propagate = search.propagate_tree
+    last = {}  # position -> weak reference to an entry of the last pass
+    alive_at_first_conv = []
 
-    def candidates(loop, eligible):
-        kept_at_candidates.append(len(loop.tree))
-        return build(loop, eligible)
+    def tree_pass(net, candidates, x, known=None):
+        tree = propagate(net, candidates, x, known)
+        last.update({("chain", i): weakref.ref(y) for i, y in enumerate(tree.chain)})
+        for c, col in enumerate(tree.columns):
+            last.update({(c, j): weakref.ref(y) for j, y in enumerate(col or [])})
+        return tree
 
-    monkeypatch.setattr(search._RoundLoop, "candidates", candidates)
+    def conv(layer, x):
+        if last:  # the first conv of every pass but the first
+            alive = {pos for pos, ref in last.items() if ref() is not None}
+            alive_at_first_conv.append(alive)
+            last.clear()
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "propagate_tree", tree_pass)
+    monkeypatch.setattr(search, "conv_forward_linear", conv)
     res = hbgts(net, data, PruneConfig(beta=0.3, alpha=2))
     assert all(min(r.retained) > 1 for r in res.rounds)  # every layer eligible
-    assert kept_at_candidates[0] == 0
-    for prev, kept in zip(res.rounds, kept_at_candidates[1:]):
+    assert len(alive_at_first_conv) == len(res.rounds) - 1 > 3
+    for prev, alive in zip(res.rounds, alive_at_first_conv):
         k = prev.chosen_layer
-        # the full rows of layers < k, and the committed column from row k on
-        assert kept == sum(c + 2 for c in range(k)) + (4 - k)
+        # the chain up to layer k's input, the committed column, and each
+        # column c < k up to layer k's input
+        assert alive == (
+            {("chain", i) for i in range(k + 1)}
+            | {(k, j) for j in range(4 - k)}
+            | {(c, j) for c in range(k) for j in range(k - c)}
+        )
 
 
 def test_hbgs_round_after_commit_skips_unchanged_layers(rng, monkeypatch):
@@ -550,34 +603,6 @@ def test_hbgs_chain_convs_per_round(rng, monkeypatch):
         k = r.chosen_layer
     assert per_round == want
     assert sorted(set(want)) == [0, 2, 4, 6]  # every chain length occurs
-
-
-def test_propagate_tree_memo_drops_stale_entries_before_computing(rng, monkeypatch):
-    net = rand_net(rng, [2, 5, 4, 3], k=3, activation="relu")
-    data = rng.standard_normal((2, 2, 4, 4))
-    candidates = all_candidates(net)
-    memo = {}
-    first = propagate_tree(net, candidates, data, memo=memo)
-    assert len(memo) == sum(c + 2 for c in range(3))
-    # a new layer 0 leaves only the candidate-0 column reusable
-    edited = net.with_layer(0, copy_layer(net.layers[0]))
-    stale = weakref.ref(first.final_reference)
-    del first
-    alive_at_first_conv = []
-
-    def conv(layer, x):
-        alive_at_first_conv.append(stale() is not None)
-        return conv_forward_linear(layer, x)
-
-    monkeypatch.setattr(search, "conv_forward_linear", conv)
-    buf = propagate_tree(edited, candidates, data, memo=memo)
-    assert alive_at_first_conv[0] is False
-    assert len(memo) == 9
-    assert len(alive_at_first_conv) == 9 - 3
-    want = propagate_tree(edited, candidates, data)
-    for row, want_row in zip(buf.rows, want.rows):
-        for got, exp in zip(row, want_row):
-            np.testing.assert_array_equal(got, exp)
 
 
 def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
