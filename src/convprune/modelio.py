@@ -16,6 +16,7 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
+import numbers
 import re
 import struct
 from dataclasses import dataclass
@@ -109,10 +110,11 @@ def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
 
 
 def _int_field(value, what: str) -> int:
-    """A JSON integer; a float, a numeric string or a bool is an error."""
-    if isinstance(value, bool) or not isinstance(value, int):
+    """An integer (a JSON one, when read); a float, a numeric string or a
+    bool is an error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ModelIOError(f"{what} must be an integer, got {value!r}")
-    return value
+    return int(value)
 
 
 def _layer_from_json(entry: dict, index: int) -> ConvLayer:
@@ -134,8 +136,15 @@ def _layer_from_json(entry: dict, index: int) -> ConvLayer:
         raise ModelIOError(f"layer {index}: missing or malformed field ({exc})") from None
 
 
+def _check_input_shape(shape: tuple) -> None:
+    if len(shape) != 3 or min(shape) < 1:
+        raise ModelIOError(f"input_shape must be 3 positive integers, got {shape}")
+
+
 def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
-    m0, h, w = (int(v) for v in input_shape)
+    shape = tuple(_int_field(v, "input_shape entry") for v in input_shape)
+    _check_input_shape(shape)
+    m0, h, w = shape
     if m0 != net.in_channels:
         raise ModelIOError(
             f"input shape declares {m0} channels, network expects {net.in_channels}"
@@ -174,8 +183,7 @@ def read_model(path) -> tuple[Network, tuple[int, int, int]]:
         entries = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None
-    if len(shape) != 3 or min(shape) < 1:
-        raise ModelIOError(f"input_shape must be 3 positive integers, got {shape}")
+    _check_input_shape(shape)
     layers = [_layer_from_json(entry, i) for i, entry in enumerate(entries)]
     try:
         net = Network(layers)

@@ -5,7 +5,9 @@ candidates on a calibration dataset, commits the cheapest one, and repeats
 until the parameter budget is met.  Two scoring rules are provided:
 
 - hbgs compares each candidate against the original network's output *at
-  that layer* (layerwise error, one forward pass per example per round);
+  that layer* (layerwise error: each example's chain of layer inputs is
+  extended as far as the last candidate, and one candidate conv per
+  example scores each layer);
 - hbgts propagates every candidate to the *final* output in a composite
   tree pass: one batched pass over the whole dataset per round instead of
   one pass per candidate.
@@ -16,9 +18,12 @@ to layer k's input, takes the committed candidate's column as the chain
 from layer k on, and keeps each column c < k up to layer k's input, so
 only the columns of layers < k from layer k on and the columns of layers
 >= k run a conv; hbgs takes the errors of layers < k from the last round's
-record and scores only layers >= k.  Reused values are the very arrays and
-floats the same computation produced, so results are exactly those of a
-full recompute.
+record, scores only layers >= k, and keeps each example's chain up to
+layer k's input.  Between rounds an hbgs chain holds only the example and
+the inputs of odd layers, a checkpoint every other layer, so a dropped
+input of layer k is restored with one conv.  Reused values are the very
+arrays and floats the same computation produced, so results are exactly
+those of a full recompute.
 
 Every driver runs the same round loop and commits through the same
 bookkeeping, so their reports are directly comparable: hbgs and hbgts take
@@ -149,33 +154,60 @@ def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarra
     return refs
 
 
+def _norms(refs: list[list[np.ndarray]]) -> list[list[float]]:
+    """The norm of every reference output, per example and layer."""
+    return [[float(np.linalg.norm(y)) for y in per_layer] for per_layer in refs]
+
+
+def _chain_input(net: Network, chain: list[np.ndarray | None], c: int) -> np.ndarray:
+    """chain[c], the input of layer c; entries that are missing or dropped
+    (None) are filled in from the last one present before them."""
+    chain.extend([None] * (c + 1 - len(chain)))
+    j = c
+    while chain[j] is None:
+        j -= 1
+    for i in range(j, c):
+        chain[i + 1] = _layer_output(net.layers[i], chain[i])
+    return chain[c]
+
+
 def relative_error_hbgs(
     net: Network,
     candidates: list[ConvLayer | None],
     data: np.ndarray,
     refs: list[list[np.ndarray]],
+    chains: list[list[np.ndarray | None]] | None = None,
+    ref_norms: list[list[float]] | None = None,
 ) -> np.ndarray:
     """Layerwise relative errors of all candidates in one pass per example.
 
     Candidate c is applied to the current network's input to layer c and
     compared against refs[i][c] (the original network's layer-c output),
-    normalized by that reference's norm.  Zero-norm references are skipped.
-    Layers without a candidate score math.inf.  Each example's chain stops
-    at the input of the last layer that has a candidate.
+    normalized by that reference's norm, ref_norms[i][c] (computed here
+    when not given).  Zero-norm references are skipped.  Layers without a
+    candidate score math.inf.
+
+    chains[i], when given, is example i's chain [data[i], input of layer
+    1, ...] in the current network, kept across calls.  It is extended in
+    place up to the input of the last layer that has a candidate, and only
+    the missing entries run a conv.  Once the example is scored, its
+    inputs of even layers >= 2 are dropped (None): a later call restores
+    one with a single conv from the odd layer's input before it.
     """
+    if chains is None:
+        chains = [[x] for x in data]
+    if ref_norms is None:
+        ref_norms = _norms(refs)
     errors = np.where([c is not None for c in candidates], 0.0, math.inf)
-    depth = max((c for c, cand in enumerate(candidates) if cand is not None), default=-1)
-    for i, x in enumerate(data):
-        y = x
-        for c in range(depth + 1):
-            if candidates[c] is not None:
-                ref = refs[i][c]
-                ref_norm = float(np.linalg.norm(ref))
-                if ref_norm != 0.0:
-                    cand_out = _layer_output(candidates[c], y)
-                    errors[c] += float(np.linalg.norm(ref - cand_out)) / ref_norm
-            if c < depth:
-                y = _layer_output(net.layers[c], y)
+    for i, chain in enumerate(chains):
+        for c, cand in enumerate(candidates):
+            if cand is None:
+                continue
+            y = _chain_input(net, chain, c)
+            if ref_norms[i][c] != 0.0:
+                cand_out = _layer_output(cand, y)
+                errors[c] += float(np.linalg.norm(refs[i][c] - cand_out)) / ref_norms[i][c]
+        chain[2::2] = [None] * len(chain[2::2])
     return errors
 
 
@@ -392,21 +424,26 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
 
     errors[c] depends only on the layers before c and on layer c.  A commit
     at layer k changes only layer k, so every layer c < k keeps the error
-    that the last round recorded and runs no candidate conv.
+    that the last round recorded and runs no candidate conv, and each
+    example's chain keeps the inputs of layers <= k.  Between rounds a
+    chain holds its input and the inputs of odd layers, so it costs at
+    most half the network's activations and a dropped input of layer k is
+    restored with one conv.
     """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data)
-    zero_refs = [
-        sum(float(np.linalg.norm(per_layer[c])) == 0.0 for per_layer in refs)
-        for c in range(len(net))
-    ]
+    ref_norms = _norms(refs)
+    zero_refs = [sum(norms[c] == 0.0 for norms in ref_norms) for c in range(len(net))]
+    chains = [[x] for x in data]
 
     def score(loop: _RoundLoop, candidates, eligible):
         last = loop.rounds[-1] if loop.rounds else None
         kept = last.errors[: last.chosen_layer] if last else ()
         k = len(kept)
+        for chain in chains:
+            del chain[k + 1 :]
         todo = [None] * k + candidates[k:]
-        errors = relative_error_hbgs(loop.net, todo, data, refs)
+        errors = relative_error_hbgs(loop.net, todo, data, refs, chains, ref_norms)
         errors[:k] = kept
         return errors, len(data), sum(zero_refs[c] for c in eligible)
 
@@ -449,17 +486,23 @@ def random_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneRe
 
 
 def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
-    """Prune the same filter fraction (cfg.beta) from every layer at once."""
+    """Prune the same filter fraction (cfg.beta) from every layer at once.
+
+    The result is partial when the floor keeps any layer above its target.
+    """
     loop = _RoundLoop(net, data, cfg)
     pruned = {}
+    blocked = False
     for c, layer in enumerate(net.layers):
         n = layer.out_channels
-        n_keep = max(retained_count(n, cfg.beta), min(cfg.floor, n))
+        target = retained_count(n, cfg.beta)
+        n_keep = max(target, min(cfg.floor, n))
+        blocked |= n_keep > target
         if n_keep < n:
             pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)[0]
     errors = np.full(len(net), math.inf)
     loop.commit(1, None, pruned, errors, 0, 0)
-    return loop.result("reached")
+    return loop.result("partial" if blocked else "reached")
 
 
 DRIVERS = {

@@ -139,17 +139,19 @@ def test_partial_run_exits_3(workspace, capsys):
     tmp_path, model, data = workspace
     out = tmp_path / "pruned.json"
     report_path = tmp_path / "report.json"
-    code = run(
-        "prune", "--model", str(model), "--data", str(data),
-        "--beta", "0.95", "--floor", "4",
-        "--out", str(out), "--report", str(report_path),
-    )
-    assert code == 3
-    # the partial result is still written in full
-    report = read_report(report_path)
-    assert report.status == "partial"
-    pruned, _ = read_model(out)
-    assert all(layer.out_channels == 4 for layer in pruned.layers)
+    # uniform commits its one round, but the floor still blocks its target
+    for selector in ("hbgts", "uniform"):
+        code = run(
+            "prune", "--model", str(model), "--data", str(data),
+            "--selector", selector, "--beta", "0.95", "--floor", "4",
+            "--out", str(out), "--report", str(report_path),
+        )
+        assert code == 3
+        # the partial result is still written in full
+        report = read_report(report_path)
+        assert report.status == "partial"
+        pruned, _ = read_model(out)
+        assert all(layer.out_channels == 4 for layer in pruned.layers)
 
 
 def test_usage_errors_exit_1(tmp_path, capsys):
@@ -261,6 +263,10 @@ def test_prune_prints_signed_change(tmp_path, monkeypatch, capsys):
     # no round committed: no change, and no sign
     assert prune(std, "--selector", "hbgts", "--beta", "0.4", "--floor", "30") == (
         3, "partial rounds=0 params 0.0% flops 0.0% -> o.json")
+    # the floor keeps every layer above its target: uniform commits its one
+    # round and is partial too
+    assert prune(std, "--selector", "uniform", "--beta", "0.3", "--floor", "100") == (
+        3, "partial rounds=1 params 0.0% flops 0.0% -> o.json")
     # 1x1 layers 40 -> 40 gain a 38x40 map: the counts grow
     wide = gen("wide", "--layers", "2", "--channels", "40", "--kernel", "1",
                "--redundancy", "0", "--examples", "2", "--seed", "1")

@@ -92,6 +92,16 @@ def test_write_model_validates(rng, tmp_path):
     net = rand_net(rng, [2, 3], k=3)
     with pytest.raises(ModelIOError):
         write_model(net, (3, 4, 4), path)
+    # read_model's rule for input_shape, checked before the file is opened
+    for shape, message in [
+        ((2, 0, 4), r"input_shape must be 3 positive integers, got \(2, 0, 4\)"),
+        ((2, 4), "input_shape must be 3 positive integers"),
+        ((2.7, 4, 4), "input_shape entry must be an integer, got 2.7"),
+        ((2, True, 4), "input_shape entry must be an integer"),
+    ]:
+        with pytest.raises(ModelIOError, match=message):
+            write_model(net, shape, path)
+        assert not path.exists()
     weights = rng.standard_normal((2, 2, 1, 1))
     weights[1, 0, 0, 0] = np.inf
     comp = rng.standard_normal((2, 2))

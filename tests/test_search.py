@@ -595,14 +595,54 @@ def test_hbgs_chain_convs_per_round(rng, monkeypatch):
     # references, one conv per example and layer
     per_round = [sum(kind == "net" for _, kind in convs) for convs in rounds]
     per_round[0] -= len(data) * len(net)
-    want = []
-    k = 0  # layers before last round's commit are not scored again
+    want, replay, restores = [], [], 0
+    k = 0  # the chain keeps the inputs of layers <= last round's commit
     for r in res.rounds:
         scored = [c for c, e in enumerate(r.errors) if c >= k and e < math.inf]
-        want.append(len(data) * max(scored, default=0))
+        # between rounds the inputs of even layers >= 2 are dropped, so the
+        # input of layer k costs one conv from the input of layer k - 1
+        restored = bool(scored) and k >= 2 and k % 2 == 0
+        want.append(len(data) * (max(scored) - k + restored) if scored else 0)
+        replay.append(len(data) * max(scored, default=0))
+        restores += restored
         k = r.chosen_layer
     assert per_round == want
-    assert sorted(set(want)) == [0, 2, 4, 6]  # every chain length occurs
+    assert restores > 0
+    assert sum(want) < sum(replay)  # fewer than a chain from the input
+
+
+def test_hbgs_chain_keeps_every_other_input_between_rounds(rng, monkeypatch):
+    net = rand_net(rng, [3, 8, 8, 8, 8, 8, 8], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 4, 4))
+    layer_output = search._layer_output
+    score = search.relative_error_hbgs
+    made = []  # weak references to every layer output made while scoring
+    alive = []  # per round, how many of them outlive its scoring
+
+    def output(layer, x):
+        y = layer_output(layer, x)
+        if scoring:
+            made.append(weakref.ref(y))
+        return y
+
+    def counted_score(*args):
+        nonlocal scoring
+        scoring = True
+        errors = score(*args)
+        scoring = False
+        alive.append(sum(ref() is not None for ref in made))
+        return errors
+
+    scoring = False
+    monkeypatch.setattr(search, "_layer_output", output)
+    monkeypatch.setattr(search, "relative_error_hbgs", counted_score)
+    res = hbgs(net, data, PruneConfig(beta=0.3, alpha=2))
+    assert len(alive) == len(res.rounds) > 3
+    # each chain keeps its input and the inputs of odd layers, which are
+    # ceil((L - 1) / 2) arrays, and round 1 extends every chain to layer L - 1
+    bound = len(data) * math.ceil((len(net) - 1) / 2)
+    assert alive[0] == bound
+    assert max(alive) <= bound
 
 
 def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
@@ -655,9 +695,17 @@ def test_uniform_baseline_respects_floor(rng):
     # the 8-wide layer stops at the floor; the 2-wide layer is already below
     # it and stays untouched
     assert res.rounds[0].retained == (3, 2)
+    assert res.status == "partial"  # both layers stay above retained_count(n, 0.75)
     np.testing.assert_array_equal(
         res.network.layers[1].weights, net.layers[1].weights
     )
+    # a floor at the 8-wide layer's target: the 2-wide layer's target keeps
+    # all of its filters, so the floor blocks nothing
+    at_target = uniform_baseline(
+        net, data, PruneConfig(beta=0.25, floor=6, selector="uniform")
+    )
+    assert at_target.rounds[0].retained == (6, 2)
+    assert at_target.status == "reached"
 
 
 def test_random_baseline_is_seeded(rng):
