@@ -10,7 +10,9 @@ until the parameter budget is met.  Two scoring rules are provided:
   example scores each layer);
 - hbgts propagates every candidate to the *final* output in a composite
   tree pass: one batched pass over the whole dataset per round instead of
-  one pass per candidate.
+  one pass per candidate.  The pass extends the unpruned chain first; its
+  candidate columns do not depend on each other, so the caller and one
+  helper thread fill them, with results identical to a serial pass.
 
 Rounds are incremental.  A commit at layer k changes only layer k, so the
 next round reuses what it left unchanged: hbgts keeps its tree's chain up
@@ -33,6 +35,7 @@ the uniform baseline commits all of its layers in a single round.
 from __future__ import annotations
 
 import math
+import threading
 from dataclasses import dataclass
 from typing import Callable
 
@@ -154,9 +157,14 @@ def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarra
     return refs
 
 
+def _each_norm(arrays) -> list[float]:
+    """The norm of each array, in order (of each example, for a batch)."""
+    return [float(np.linalg.norm(y)) for y in arrays]
+
+
 def _norms(refs: list[list[np.ndarray]]) -> list[list[float]]:
     """The norm of every reference output, per example and layer."""
-    return [[float(np.linalg.norm(y)) for y in per_layer] for per_layer in refs]
+    return [_each_norm(per_layer) for per_layer in refs]
 
 
 def _chain_input(net: Network, chain: list[np.ndarray | None], c: int) -> np.ndarray:
@@ -239,6 +247,14 @@ def propagate_tree(
     known, when given, is a partial tree of this very pass: a prefix of
     the chain, starting at x, and a prefix of each column.  It is extended
     in place, and only the entries it lacks run a conv.
+
+    The chain is extended first.  The columns then depend only on it, so
+    the caller and one helper thread fill them, each taking the next
+    unfilled column in index order (in hbgts's passes, longest first).
+    Every entry is the same conv on the same arrays as in a serial pass,
+    so the tree is identical to a serial one.  The helper is joined before
+    this returns or raises; once a conv raises, no further conv starts,
+    and the first exception is raised here.
     """
     if len(candidates) != len(net):
         raise ValueError(
@@ -247,16 +263,38 @@ def propagate_tree(
     if known is None:
         x = np.asarray(x, dtype=np.float64)
         known = PropagationTree([x], [None] * len(net))
-    chain = known.chain
+    chain, columns = known.chain, known.columns
     for layer in net.layers[len(chain) - 1 :]:
         chain.append(_layer_output(layer, chain[-1]))
     for c, cand in enumerate(candidates):
-        column = None
-        if cand is not None:
-            column = known.columns[c] or [_layer_output(cand, chain[c])]
-            for layer in net.layers[c + len(column) :]:
-                column.append(_layer_output(layer, column[-1]))
-        known.columns[c] = column
+        columns[c] = None if cand is None else columns[c] or []
+    todo = iter([c for c, cand in enumerate(candidates) if cand is not None])
+    lock = threading.Lock()
+    failures: list[BaseException] = []
+
+    def fill() -> None:
+        try:
+            while not failures:
+                with lock:
+                    c = next(todo, None)
+                if c is None:
+                    return
+                column = columns[c]
+                while len(column) < len(net) - c and not failures:
+                    if column:
+                        layer, y = net.layers[c + len(column)], column[-1]
+                    else:
+                        layer, y = candidates[c], chain[c]
+                    column.append(_layer_output(layer, y))
+        except BaseException as exc:
+            failures.append(exc)
+
+    helper = threading.Thread(target=fill, name="convprune-tree")
+    helper.start()
+    fill()
+    helper.join()
+    if failures:
+        raise failures[0]
     return known
 
 
@@ -274,15 +312,17 @@ def _after_commit(tree: PropagationTree, k: int) -> PropagationTree:
     return PropagationTree(chain, columns)
 
 
-def _relative_sum(refs: np.ndarray, outs: np.ndarray) -> tuple[float, int]:
+def _relative_sum(
+    refs: np.ndarray, outs: np.ndarray, ref_norms: list[float]
+) -> tuple[float, int]:
     """Sum of per-example |ref - out| / |ref| in dataset order.
 
-    Zero-norm references are skipped; returns (total, number skipped).
+    ref_norms holds each reference's norm.  Zero-norm references are
+    skipped; returns (total, number skipped).
     """
     total = 0.0
     skips = 0
-    for ref, out in zip(refs, outs):
-        ref_norm = float(np.linalg.norm(ref))
+    for ref, out, ref_norm in zip(refs, outs, ref_norms):
         if ref_norm == 0.0:
             skips += 1
             continue
@@ -307,7 +347,8 @@ def relative_output_error(
     summed in dataset order, and zero-norm references are skipped and counted.
     """
     data = check_dataset(reference, data)
-    return _relative_sum(final_output(reference, data), final_output(net, data))
+    refs = final_output(reference, data)
+    return _relative_sum(refs, final_output(net, data), _each_norm(refs))
 
 
 class _RoundLoop:
@@ -457,7 +498,8 @@ def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     composite tree pass over the whole dataset per round, so a round costs
     len(data) example passes rather than len(net) * len(data).  A commit at
     layer k changes only layer k, so the next pass starts from last round's
-    tree with the entries the commit left unchanged.
+    tree with the entries the commit left unchanged.  The norm of each
+    final reference is computed once per round, not once per candidate.
     """
     tree = None
 
@@ -466,9 +508,11 @@ def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
         if tree is not None:  # drop the stale entries before any conv
             tree = _after_commit(tree, loop.rounds[-1].chosen_layer)
         tree = propagate_tree(loop.net, candidates, loop.data, known=tree)
+        refs = tree.chain[-1]
+        ref_norms = _each_norm(refs)
         errors = np.full(len(candidates), math.inf)
         for c in eligible:  # same references, so the same skips for every c
-            errors[c], skips = _relative_sum(tree.chain[-1], tree.columns[c][-1])
+            errors[c], skips = _relative_sum(refs, tree.columns[c][-1], ref_norms)
         return errors, len(loop.data), skips
 
     return _run_rounds(net, data, cfg, _argmin(score))

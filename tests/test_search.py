@@ -2,7 +2,10 @@
 from __future__ import annotations
 
 import math
+import threading
+import time
 import weakref
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -222,10 +225,41 @@ def test_propagate_tree_extends_a_partial_tree(rng, monkeypatch):
         full.chain[:3], [full.columns[0][:2], full.columns[1][:1], full.columns[2], []]
     )
     kept = [*known.chain, *known.columns[0], *known.columns[1]]
-    calls = conv_log(monkeypatch)
+    convs = []
+
+    def logged(layer, x):
+        convs.append((layer, x))
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", logged)
     tree = propagate_tree(net, candidates, data, known=known)
+    # columns are filled concurrently, so only the order within the chain
+    # and within each column is defined.  A conv belongs to the column its
+    # input array is in; a candidate starts its column from a chain entry.
+    owner = {id(y): "chain" for y in tree.chain}
+    for c in (0, 1, 3):
+        owner.update({id(y): c for y in tree.columns[c]})
+    starts = {id(cand): c for c, cand in enumerate(candidates) if cand is not None}
+    by_owner = {}
+    for layer, x in convs:
+        key = starts.get(id(layer), owner[id(x)])
+        by_owner.setdefault(key, []).append((id(layer), id(x)))
+    layer2, layer3 = net.layers[2:]
+    expected = {
+        "chain": [(layer2, tree.chain[2]), (layer3, tree.chain[3])],
+        0: [(layer2, tree.columns[0][1]), (layer3, tree.columns[0][2])],
+        1: [(layer2, tree.columns[1][0]), (layer3, tree.columns[1][1])],
+        3: [(candidates[3], tree.chain[3])],
+    }
+    assert by_owner == {
+        key: [(id(layer), id(x)) for layer, x in steps]
+        for key, steps in expected.items()
+    }
     # layers 2 and 3 of the chain and of columns 0 and 1, and column 3
-    assert calls == [net.layers[2], net.layers[3]] * 3 + [candidates[3]]
+    assert len(convs) == 7
+    assert Counter(id(layer) for layer, _ in convs) == Counter(
+        map(id, [layer2, layer3] * 3 + [candidates[3]])
+    )
     reused = tree.chain[:3] + tree.columns[0][:2] + tree.columns[1][:1]
     assert all(got is want for got, want in zip(reused, kept, strict=True))
     assert tree.columns[2] is None
@@ -235,6 +269,73 @@ def test_propagate_tree_extends_a_partial_tree(rng, monkeypatch):
         assert len(tree.columns[c]) == len(full.columns[c])
         for got, want in zip(tree.columns[c], full.columns[c]):
             np.testing.assert_array_equal(got, want)
+
+
+def serial_tree(net, candidates, x):
+    """The tree pass's definition, one entry after another on one thread."""
+    chain = [x]
+    for layer in net.layers:
+        chain.append(conv_forward(layer, chain[-1]))
+    columns = []
+    for c, cand in enumerate(candidates):
+        column = None
+        if cand is not None:
+            column = [conv_forward(cand, chain[c])]
+            for layer in net.layers[c + 1 :]:
+                column.append(conv_forward(layer, column[-1]))
+        columns.append(column)
+    return PropagationTree(chain, columns)
+
+
+def test_propagate_tree_fills_columns_on_two_threads(rng, monkeypatch):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((3, 3, 5, 5))
+    candidates = all_candidates(net, n_prune=2)
+    threads = []
+
+    def slow(layer, x):
+        threads.append(threading.get_ident())
+        time.sleep(0.001)  # lets the other thread take a column meanwhile
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", slow)
+    tree = propagate_tree(net, candidates, data)
+    assert len(set(threads)) == 2
+    assert len(threads) == 4 + (4 + 3 + 2 + 1)
+    want = serial_tree(net, candidates, data)
+    assert len(tree.chain) == len(want.chain) == 5
+    for got, ref in zip(tree.chain, want.chain):
+        np.testing.assert_array_equal(got, ref)
+    for col, ref_col in zip(tree.columns, want.columns, strict=True):
+        assert len(col) == len(ref_col)
+        for got, ref in zip(col, ref_col):
+            np.testing.assert_array_equal(got, ref)
+
+
+def test_propagate_tree_raises_a_column_failure_after_joining(rng, monkeypatch):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    candidates = all_candidates(net)
+    boom = RuntimeError("conv failed")
+    events = []
+
+    def failing(layer, x):
+        events.append("conv")
+        time.sleep(0.001)
+        if layer is candidates[1]:  # column 1's first conv, while column 0 runs
+            events.append("raise")
+            raise boom
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        propagate_tree(net, candidates, data)
+    assert excinfo.value is boom
+    assert threading.active_count() == before
+    # the chain's 4 convs and column 1's, then no conv starts after the raise
+    assert events.count("raise") == 1 and events[-1] == "raise"
+    assert 5 <= events.count("conv") < 4 + (4 + 3 + 2 + 1)
 
 
 def test_hbgts_batched_rounds_match_per_example_trees(rng, monkeypatch):
@@ -541,11 +642,14 @@ def test_hbgts_commit_frees_stale_tree_entries(rng, monkeypatch):
             last.update({(c, j): weakref.ref(y) for j, y in enumerate(col or [])})
         return tree
 
+    lock = threading.Lock()  # both threads of a pass run convs
+
     def conv(layer, x):
-        if last:  # the first conv of every pass but the first
-            alive = {pos for pos, ref in last.items() if ref() is not None}
-            alive_at_first_conv.append(alive)
-            last.clear()
+        with lock:
+            if last:  # the first conv of every pass but the first
+                alive = {pos for pos, ref in last.items() if ref() is not None}
+                alive_at_first_conv.append(alive)
+                last.clear()
         return conv_forward_linear(layer, x)
 
     monkeypatch.setattr(search, "propagate_tree", tree_pass)
