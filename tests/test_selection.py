@@ -21,6 +21,8 @@ from convprune.selection import (
     REFACTOR_VIF,
     RIDGE_SCALE,
     TIE_SLACK,
+    GramInverse,
+    border_gram,
     default_ridge,
     downdate_gram,
     elimination_scores,
@@ -159,13 +161,20 @@ def test_fp_omp_beta_zero_keeps_everything(rng):
     assert sel.residual_error <= 1e-12 * np.sum(a * a)
 
 
+def lstsq_rank(a: np.ndarray) -> int:
+    return int(np.linalg.lstsq(a, a, rcond=None)[2])
+
+
 def data_space_omp(a: np.ndarray, t: int) -> list[int]:
     """Reference OMP: refit every unit column on the selected ones and take
-    the column most correlated with all residuals, in data space."""
+    the column most correlated with all residuals, in data space.  Once the
+    selected columns reach the bank's rank every score is 0 in exact
+    arithmetic, and ties go to the smallest index."""
     ahat = a / np.linalg.norm(a, axis=0)
+    rank = lstsq_rank(a)
     residual = ahat
     order: list[int] = []
-    while len(order) < t:
+    while len(order) < min(t, rank):
         scores = np.abs(ahat.T @ residual).sum(axis=1)
         scores[order] = -np.inf
         order.append(int(np.argmax(scores)))
@@ -173,7 +182,8 @@ def data_space_omp(a: np.ndarray, t: int) -> list[int]:
         ridge = RIDGE_SCALE * np.sum(sub * sub) / len(order)
         gram = sub.T @ sub + ridge * np.eye(len(order))
         residual = ahat - sub @ np.linalg.solve(gram, sub.T @ ahat)
-    return order
+    rest = [j for j in range(a.shape[1]) if j not in order]
+    return order + rest[: t - len(order)]
 
 
 def omp_reference_banks():
@@ -181,29 +191,47 @@ def omp_reference_banks():
         for redundancy in (0.0, 0.25, 0.5, 0.75):
             for seed in range(10):
                 net, _ = planted_network(1, channels, 3, redundancy, seed)
-                yield flatten_filters(net.layers[0]), redundancy > 0.0
+                yield flatten_filters(net.layers[0])
 
 
 def test_fp_omp_matches_data_space_reference():
-    # past a planted bank's rank every residual is round-off, so the picks
-    # there may differ between BLAS builds while the error stays ~0
     mismatches = []
-    for a, planted in omp_reference_banks():
+    for a in omp_reference_banks():
         n = a.shape[1]
-        rank = np.linalg.matrix_rank(a) if planted else n
         # greedy picks do not depend on when the pass stops, so one
         # reference run covers every beta
         want = data_space_omp(a, retained_count(n, 0.2))
         for beta in (0.2, 0.4, 0.6):
             t = retained_count(n, beta)
             sel = fp_omp(a, beta)
-            if sel.order[:rank] != tuple(want[:min(t, rank)]):
+            if sel.order != tuple(want[:t]):
                 mismatches.append((a.shape, beta, sel.order, want[:t]))
-            elif t > rank:
+            elif t > lstsq_rank(a):
                 want_error = scratch_lstsq_error(a[:, sorted(want[:t])], a)
                 energy = float(np.sum(a * a))
                 assert abs(sel.residual_error - want_error) <= 1e-9 * energy
     assert mismatches == []
+
+
+def test_fp_omp_takes_smallest_indices_past_the_rank():
+    # past a planted bank's rank every score is round-off: the picks there
+    # are the smallest unselected indices, in ascending order, so they do
+    # not depend on the factorization or on the BLAS kernel
+    for channels in (16, 32, 64):
+        for redundancy in (0.25, 0.5, 0.75):
+            for seed in range(4):
+                net, _ = planted_network(1, channels, 3, redundancy, seed)
+                a = flatten_filters(net.layers[0])
+                rank = lstsq_rank(a)
+                energy = float(np.sum(a * a))
+                for beta in (0.1, redundancy - 0.1):
+                    t = retained_count(channels, beta)
+                    assert t > rank
+                    order = fp_omp(a, beta).order
+                    spanning = list(order[:rank])
+                    assert scratch_lstsq_error(a[:, spanning], a) <= 1e-9 * energy
+                    rest = [j for j in range(channels) if j not in spanning]
+                    assert order[rank:] == tuple(rest[: t - rank])
 
 
 # ------------------------------------------------------- elimination scoring
@@ -248,6 +276,68 @@ def test_downdate_matches_fresh_inverse(rng):
     fresh = gram_state(rest, a, ridge=ridge)
     np.testing.assert_allclose(state.matrix, fresh.matrix, rtol=1e-9, atol=1e-12)
     np.testing.assert_allclose(state.coeffs, fresh.coeffs, rtol=1e-9, atol=1e-12)
+
+
+def test_bordered_state_matches_fresh_inverse(monkeypatch):
+    # after every pick up to the rank, the grown state is the fresh inverse
+    # of the selected block; bordering stops at the rank
+    states = []
+
+    def recorded(*args):
+        state = border_gram(*args)
+        states.append(GramInverse(state.matrix.copy(), state.coeffs.copy()))
+        return state
+
+    monkeypatch.setattr(selection, "border_gram", recorded)
+    rng = np.random.default_rng(77)
+    banks = [rng.standard_normal((rows, n)) for rows, n in ((40, 12), (72, 32), (64, 64))]
+    for channels, redundancy, seed in ((16, 0.5, 0), (32, 0.25, 1), (32, 0.75, 2)):
+        net, _ = planted_network(1, channels, 3, redundancy, seed)
+        banks.append(flatten_filters(net.layers[0]))
+    for a in banks:
+        rank = lstsq_rank(a)
+        ahat = a / np.linalg.norm(a, axis=0)
+        gram = ahat.T @ ahat
+        ridge = default_ridge(ahat)
+        for beta in (0.0, 0.5):
+            states.clear()
+            order = list(fp_omp(a, beta).order)
+            assert len(states) == min(len(order) - 1, rank)
+            for size, state in enumerate(states, start=1):
+                keep = order[:size]
+                fresh = gram_inverse(gram[np.ix_(keep, keep)], gram[keep], ridge)
+                for got, want in ((state.matrix, fresh.matrix), (state.coeffs, fresh.coeffs)):
+                    assert np.abs(got - want).max() <= 1e-10 * np.abs(want).max(), (
+                        a.shape, beta, size
+                    )
+
+
+def test_border_then_downdate_round_trip(rng):
+    a = rng.standard_normal((20, 7))
+    gram, ridge = a.T @ a, default_ridge(a)
+    keep = [4, 0, 2, 5]
+    state = gram_inverse(gram[np.ix_(keep, keep)], gram[keep], ridge)
+    out = GramInverse(np.empty((5, 5)), np.empty((5, 7)))
+    grown = border_gram(state, gram[keep + [6], 6], gram[6], ridge, out)
+    back = downdate_gram(grown, len(keep))
+    np.testing.assert_allclose(back.matrix, state.matrix, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(back.coeffs, state.coeffs, rtol=1e-12, atol=1e-12)
+
+
+def test_border_gram_guards():
+    state = GramInverse(np.ones((1, 1)), np.ones((1, 2)))
+    out = GramInverse(np.empty((2, 2)), np.empty((2, 2)))
+    # gamma = 1 + 0 - 1 * 1 * 1 = 0: the new column is the old one
+    with pytest.raises(SingularGramError, match="pivot"):
+        border_gram(state, np.array([1.0, 1.0]), np.ones(2), 0.0, out)
+    with pytest.raises(SingularGramError, match="pivot"):
+        border_gram(state, np.array([1.0, 0.5]), np.ones(2), 0.0, out)
+    with pytest.raises(SingularGramError, match="non-finite"):
+        border_gram(state, np.array([0.0, 1.0]), np.array([1.0, np.nan]), 0.0, out)
+    with pytest.raises(ConsistencyError):
+        border_gram(state, np.array([1.0]), np.ones(2), 0.0, out)
+    with pytest.raises(ConsistencyError):
+        border_gram(state, np.array([0.0, 1.0]), np.ones(3), 0.0, out)
 
 
 def test_gram_inverse_singular_without_ridge(rng):
