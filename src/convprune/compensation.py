@@ -65,7 +65,7 @@ def apply_pruning(
             f"{layer.out_channels}"
         )
     return ConvLayer(
-        weights=layer.weights[list(sel.retained)],  # fancy indexing copies
-        comp=g_prime.copy(),
+        weights=layer.weights[list(sel.retained)],
+        comp=g_prime,
         activation=layer.activation,
     )

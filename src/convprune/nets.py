@@ -7,13 +7,16 @@ GEMM over im2col patches (Chellapilla et al., 2006).  A layer is a K x K
 convolution optionally followed by a 1x1 channel-mixing map and an
 elementwise activation.  The 1x1 map is what pruning uses to keep a layer's
 composite output width fixed while its K x K filter bank shrinks.
+
+Layers are immutable: a layer owns read-only copies of its arrays and builds
+its GEMM weight matrix once, so a layer can be shared by threads and kept
+across rounds.  Changing a layer means building a new one.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 
 ACTIVATIONS = ("identity", "relu")
 
@@ -22,14 +25,24 @@ class DimensionError(ValueError):
     """Shape or channel-count mismatch between tensors and layers."""
 
 
-def _as_f64(a, name: str) -> np.ndarray:
-    out = np.asarray(a, dtype=np.float64)
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+def _owned_f64(a, name: str) -> np.ndarray:
+    """A read-only float64 copy that aliases no caller array.
+
+    The copy keeps the source's memory order, so every GEMM on it sees the
+    same layout as on the source.
+    """
+    out = np.array(a, dtype=np.float64, order="K", copy=True)
     if out.size == 0:
         raise DimensionError(f"{name} must be non-empty")
-    return out
+    return _read_only(out)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class ConvLayer:
     """One convolutional layer: K x K weights, optional 1x1 map, activation.
 
@@ -38,29 +51,42 @@ class ConvLayer:
     conv channel j into each of the `width` composite outputs.  A freshly
     built layer either has no comp or a square one; pruning leaves comp with
     fewer rows than columns.
+
+    The layer is frozen and compares by identity.  gemm_weights is the
+    (K*K*in_channels, out_channels) matrix the im2col GEMM multiplies by:
+    row (a*K + b)*in_channels + i, column j holds weights[j, i, a, b].
     """
 
     weights: np.ndarray
     comp: np.ndarray | None = None
     activation: str = "relu"
+    gemm_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.weights = _as_f64(self.weights, "weights")
-        if self.weights.ndim != 4:
+        weights = _owned_f64(self.weights, "weights")
+        if weights.ndim != 4:
             raise DimensionError(
-                f"weights must be (out, in, K, K), got shape {self.weights.shape}"
+                f"weights must be (out, in, K, K), got shape {weights.shape}"
             )
-        n, m, kh, kw = self.weights.shape
+        n, m, kh, kw = weights.shape
         if kh != kw:
             raise DimensionError(f"kernel must be square, got {kh}x{kw}")
-        if self.comp is not None:
-            self.comp = _as_f64(self.comp, "comp")
-            if self.comp.ndim != 2 or self.comp.shape[0] != n:
+        comp = self.comp
+        if comp is not None:
+            comp = _owned_f64(comp, "comp")
+            if comp.ndim != 2 or comp.shape[0] != n:
                 raise DimensionError(
-                    f"comp must be ({n}, width), got shape {self.comp.shape}"
+                    f"comp must be ({n}, width), got shape {comp.shape}"
                 )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
+        # built here, not on first use: threads share layers.  The reshape
+        # copies for K > 1 and is a column-major view of weights for K = 1,
+        # the layout the GEMM always saw.
+        gemm = weights.transpose(2, 3, 1, 0).reshape(kh * kw * m, n)
+        object.__setattr__(self, "weights", weights)
+        object.__setattr__(self, "comp", comp)
+        object.__setattr__(self, "gemm_weights", _read_only(gemm))
 
     @property
     def out_channels(self) -> int:
@@ -141,9 +167,17 @@ def conv_forward_linear(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     # contiguous channel runs
     xp = np.zeros((n_ex, height + k - 1, width + k - 1, m))
     xp[:, lo : lo + height, lo : lo + width] = batch.transpose(0, 2, 3, 1)
-    windows = sliding_window_view(xp, (k, k), axis=(1, 2))  # (N, H, W, m, K, K)
-    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n_ex * height * width, -1)
-    y = cols @ layer.weights.transpose(2, 3, 1, 0).reshape(k * k * m, -1)
+    # (N, H, W, K, K, m) windows as one view: pixel (h, w) sees xp[h:h+K, w:w+K]
+    s_ex, s_row, s_col, s_ch = xp.strides
+    windows = np.ndarray(
+        (n_ex, height, width, k, k, m),
+        np.float64,
+        buffer=xp,
+        strides=(s_ex, s_row, s_col, s_row, s_col, s_ch),
+    )
+    windows.flags.writeable = False
+    cols = windows.reshape(n_ex * height * width, k * k * m)
+    y = cols @ layer.gemm_weights
     if layer.comp is not None:
         y = y @ layer.comp
     y = y.reshape(n_ex, height, width, layer.width).transpose(0, 3, 1, 2)

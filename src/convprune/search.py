@@ -361,8 +361,7 @@ class _RoundLoop:
         self.original_stats = count_stats(net, self.input_shape)
         self.net = net
         self.rounds: list[PruneRound] = []
-        # candidate cache: layer index -> (candidate, selection); valid while
-        # that layer's weights and comp are untouched
+        # candidate cache: layer index -> (candidate, selection)
         self.cache: dict[int, tuple[ConvLayer, SelectionResult]] = {}
 
     def reduction(self) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from convprune import (
+    ConvLayer,
     SingularGramError,
     cli,
     oracles,
@@ -278,7 +279,10 @@ def test_prune_prints_signed_change(tmp_path, monkeypatch, capsys):
 def test_zero_filter_model_exits_2(workspace, capsys, selector):
     tmp_path, model, data = workspace
     net, shape = read_model(model)
-    net.layers[1].weights[0] = 0.0
+    layer = net.layers[1]
+    weights = layer.weights.copy()
+    weights[0] = 0.0
+    net = net.with_layer(1, ConvLayer(weights, layer.comp, layer.activation))
     dead = tmp_path / "dead.json"
     write_model(net, shape, dead)
     assert run("prune", "--model", str(dead), "--data", str(data),

@@ -1,8 +1,11 @@
 """Convolution engine checks against brute-force references."""
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from numpy.lib.stride_tricks import sliding_window_view
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -53,6 +56,56 @@ def test_batched_conv_matches_naive_per_example(rng, k, with_comp, n_ex):
     # a single example is a batch of one through the same code path
     single = conv_forward_linear(layer, batch[0])
     np.testing.assert_array_equal(single, conv_forward_linear(layer, batch[:1])[0])
+
+
+def _sliding_window_conv(layer, batch):
+    """The im2col lowering as it was built per call before layers cached
+    their GEMM matrix: sliding_window_view, a transpose, and the weight
+    matrix transposed from layer.weights."""
+    n_ex, m, height, width = batch.shape
+    k = layer.kernel_size
+    lo = (k - 1) // 2
+    xp = np.zeros((n_ex, height + k - 1, width + k - 1, m))
+    xp[:, lo : lo + height, lo : lo + width] = batch.transpose(0, 2, 3, 1)
+    windows = sliding_window_view(xp, (k, k), axis=(1, 2))
+    cols = windows.transpose(0, 1, 2, 4, 5, 3).reshape(n_ex * height * width, -1)
+    y = cols @ layer.weights.transpose(2, 3, 1, 0).reshape(k * k * m, -1)
+    if layer.comp is not None:
+        y = y @ layer.comp
+    return y.reshape(n_ex, height, width, layer.width).transpose(0, 3, 1, 2)
+
+
+@pytest.mark.parametrize("with_comp", [False, True])
+@pytest.mark.parametrize("n_ex", [1, 3])
+@pytest.mark.parametrize("k", [1, 2, 3, 4, 5])
+def test_strided_windows_match_sliding_window_lowering(rng, k, n_ex, with_comp):
+    # same GEMM inputs as the sliding-window lowering, so equal bits on any BLAS
+    layer = rand_layer(rng, 5, 7, k=k, with_comp=with_comp, width=6)
+    batch = rng.standard_normal((n_ex, 5, 6, 9))
+    got = conv_forward_linear(layer, batch)
+    assert np.array_equal(got, _sliding_window_conv(layer, batch))
+
+
+def test_layer_is_immutable(rng):
+    layer = rand_layer(rng, 2, 3, with_comp=True)
+    for array in (layer.weights, layer.comp, layer.gemm_weights):
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.weights = np.zeros((3, 2, 3, 3))
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        layer.activation = "relu"
+
+
+def test_layer_copies_caller_arrays(rng):
+    weights = rng.standard_normal((3, 2, 3, 3))
+    comp = rng.standard_normal((3, 4))
+    layer = ConvLayer(weights, comp=comp, activation="identity")
+    x = rng.standard_normal((2, 2, 5, 6))
+    before = conv_forward_linear(layer, x)
+    weights[...] = 0.0
+    comp[...] = 0.0
+    assert np.array_equal(conv_forward_linear(layer, x), before)
 
 
 def test_comp_map_mixes_channels(rng):
