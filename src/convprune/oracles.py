@@ -152,10 +152,12 @@ def omp_suite(seed: int = 20240803, trials: int = 30) -> SuiteResult:
         rng = np.random.default_rng([seed, trial])
         a = rng.standard_normal((16, 8))
         sel = fp_omp(a, beta=0.5)
+        resid = a - a[:, list(sel.retained)] @ sel.coeffs
+        greedy = float(np.einsum("ij,ij->j", resid, resid).sum())
         best = min(
             lstsq_error(a[:, list(subset)], a) for subset in combinations(range(8), 4)
         )
-        ratio = sel.residual_error / best
+        ratio = greedy / best
         out.record(trial, ratio, mismatch=ratio < 1.0 - 1e-9)
     return out
 
@@ -238,12 +240,12 @@ def tree_suite(
             if rng.random() < 0.8:
                 n_prune = int(rng.integers(1, 3))
                 candidates.append(
-                    candidate_for_layer(net.layers[c], n_prune, "backward")[0]
+                    candidate_for_layer(net.layers[c], n_prune, "backward")
                 )
             else:
                 candidates.append(None)
         if all(c is None for c in candidates):
-            candidates[0] = candidate_for_layer(net.layers[0], 1, "backward")[0]
+            candidates[0] = candidate_for_layer(net.layers[0], 1, "backward")
         worst = 0.0
         for _ in range(n_examples):
             x = rng.standard_normal((n, 5, 5))

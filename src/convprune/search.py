@@ -21,7 +21,8 @@ from layer k on, and keeps each column c < k up to layer k's input, so
 only the columns of layers < k from layer k on and the columns of layers
 >= k run a conv; hbgs takes the errors of layers < k from the last round's
 record, scores only layers >= k, and keeps each example's chain up to
-layer k's input.  Between rounds an hbgs chain holds only the example and
+layer k's input; its first round takes the chains from the reference
+outputs.  Between rounds an hbgs chain holds only the example and
 the inputs of odd layers, a checkpoint every other layer, so a dropped
 input of layer k is restored with one conv.  Reused values are the very
 arrays and floats the same computation produced, so results are exactly
@@ -50,13 +51,7 @@ from .nets import (
     check_dataset,
     conv_forward_linear,
 )
-from .selection import (
-    SelectionResult,
-    flatten_filters,
-    fp_backward,
-    fp_omp,
-    retained_count,
-)
+from .selection import flatten_filters, fp_backward, fp_omp, retained_count
 
 FP_METHODS = ("omp", "backward")
 
@@ -123,9 +118,7 @@ class PruneResult:
     status: str  # "reached" or "partial"
 
 
-def candidate_for_layer(
-    layer: ConvLayer, n_prune: int, fp_method: str
-) -> tuple[ConvLayer, SelectionResult]:
+def candidate_for_layer(layer: ConvLayer, n_prune: int, fp_method: str) -> ConvLayer:
     """Prune n_prune filters from one layer, with compensation folded in."""
     n = layer.out_channels
     if not 1 <= n_prune < n:
@@ -134,7 +127,7 @@ def candidate_for_layer(
     select = fp_omp if fp_method == "omp" else fp_backward
     sel = select(a, n_prune / n)
     g = layer.comp if layer.comp is not None else identity_comp(layer)
-    return apply_pruning(layer, sel, compensate_output(g, sel)), sel
+    return apply_pruning(layer, sel, compensate_output(g, sel))
 
 
 def _layer_output(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
@@ -254,7 +247,8 @@ def propagate_tree(
     Every entry is the same conv on the same arrays as in a serial pass,
     so the tree is identical to a serial one.  The helper is joined before
     this returns or raises; once a conv raises, no further conv starts,
-    and the first exception is raised here.
+    and of the columns whose conv raised, the lowest one's exception is
+    raised here, as a serial pass would raise it.
     """
     if len(candidates) != len(net):
         raise ValueError(
@@ -270,31 +264,31 @@ def propagate_tree(
         columns[c] = None if cand is None else columns[c] or []
     todo = iter([c for c, cand in enumerate(candidates) if cand is not None])
     lock = threading.Lock()
-    failures: list[BaseException] = []
+    failures: dict[int, BaseException] = {}  # column -> its exception
 
     def fill() -> None:
-        try:
-            while not failures:
-                with lock:
-                    c = next(todo, None)
-                if c is None:
-                    return
-                column = columns[c]
+        while not failures:
+            with lock:
+                c = next(todo, None)
+            if c is None:
+                return
+            column = columns[c]
+            try:
                 while len(column) < len(net) - c and not failures:
                     if column:
                         layer, y = net.layers[c + len(column)], column[-1]
                     else:
                         layer, y = candidates[c], chain[c]
                     column.append(_layer_output(layer, y))
-        except BaseException as exc:
-            failures.append(exc)
+            except BaseException as exc:
+                failures[c] = exc
 
     helper = threading.Thread(target=fill, name="convprune-tree")
     helper.start()
     fill()
     helper.join()
     if failures:
-        raise failures[0]
+        raise failures[min(failures)]
     return known
 
 
@@ -361,8 +355,8 @@ class _RoundLoop:
         self.original_stats = count_stats(net, self.input_shape)
         self.net = net
         self.rounds: list[PruneRound] = []
-        # candidate cache: layer index -> (candidate, selection)
-        self.cache: dict[int, tuple[ConvLayer, SelectionResult]] = {}
+        # candidate cache: layer index -> candidate
+        self.cache: dict[int, ConvLayer] = {}
 
     def reduction(self) -> float:
         return param_reduction(
@@ -383,7 +377,7 @@ class _RoundLoop:
                 layer = self.net.layers[c]
                 n_prune = min(self.cfg.alpha, layer.out_channels - self.cfg.floor)
                 self.cache[c] = candidate_for_layer(layer, n_prune, self.cfg.fp_method)
-            out[c] = self.cache[c][0]
+            out[c] = self.cache[c]
         return out
 
     def commit(
@@ -462,26 +456,29 @@ def _argmin(score) -> Pick:
 def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Greedy layer selection by layerwise candidate error.
 
-    errors[c] depends only on the layers before c and on layer c.  A commit
-    at layer k changes only layer k, so every layer c < k keeps the error
-    that the last round recorded and runs no candidate conv, and each
-    example's chain keeps the inputs of layers <= k.  Between rounds a
-    chain holds its input and the inputs of odd layers, so it costs at
-    most half the network's activations and a dropped input of layer k is
-    restored with one conv.
+    errors[c] depends only on the layers before c and on layer c.  Round 1
+    runs no chain conv: before any commit each example's layer inputs are
+    its reference outputs, so its chain starts as the example followed by
+    those very arrays.  A commit at layer k changes only layer k, so every
+    layer c < k keeps the error that the last round recorded and runs no
+    candidate conv, and each example's chain keeps the inputs of layers
+    <= k.  Between rounds a chain holds its input and the inputs of odd
+    layers, so it costs at most half the network's activations and a
+    dropped input of layer k is restored with one conv.
     """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data)
     ref_norms = _norms(refs)
     zero_refs = [sum(norms[c] == 0.0 for norms in ref_norms) for c in range(len(net))]
-    chains = [[x] for x in data]
+    chains = [[x, *per_layer[:-1]] for x, per_layer in zip(data, refs)]
 
     def score(loop: _RoundLoop, candidates, eligible):
         last = loop.rounds[-1] if loop.rounds else None
         kept = last.errors[: last.chosen_layer] if last else ()
         k = len(kept)
-        for chain in chains:
-            del chain[k + 1 :]
+        if last is not None:
+            for chain in chains:
+                del chain[k + 1 :]
         todo = [None] * k + candidates[k:]
         errors = relative_error_hbgs(loop.net, todo, data, refs, chains, ref_norms)
         errors[:k] = kept
@@ -542,7 +539,7 @@ def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneR
         n_keep = max(target, min(cfg.floor, n))
         blocked |= n_keep > target
         if n_keep < n:
-            pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)[0]
+            pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)
     errors = np.full(len(net), math.inf)
     loop.commit(1, None, pruned, errors, 0, 0)
     return loop.result("partial" if blocked else "reached")

@@ -116,14 +116,6 @@ def least_squares_coeffs(
     return _ridged_solve(a_sub.T @ a_sub, a_sub.T @ b, ridge)
 
 
-def reconstruction_error(
-    a_sub: np.ndarray, b: np.ndarray, coeffs: np.ndarray
-) -> float:
-    """Total squared reconstruction error of b by a_sub @ coeffs."""
-    resid = b - a_sub @ coeffs
-    return float(np.einsum("ij,ij->j", resid, resid).sum())
-
-
 def retained_count(n: int, beta: float) -> int:
     """Number of filters kept when pruning fraction beta of n: round((1-beta)n),
     clamped to [1, n]."""
@@ -139,16 +131,14 @@ class SelectionResult:
 
     retained: kept column indices, ascending.
     coeffs: (|retained|, n); column j reconstructs original filter j from the
-        retained columns at their original (unnormalized) scale.
-    residual_error: total squared reconstruction error of all n original
-        columns.
+        retained columns at their original (unnormalized) scale, refit by
+        one ridged least-squares solve against all n original columns.
     order: indices in the order the selector touched them (forward: order of
         addition; backward: order of removal).
     """
 
     retained: tuple[int, ...]
     coeffs: np.ndarray
-    residual_error: float
     order: tuple[int, ...]
 
     @property
@@ -161,8 +151,7 @@ class SelectionResult:
 def _finish(a: np.ndarray, retained: list[int], order: list[int]) -> SelectionResult:
     kept = sorted(retained)
     coeffs = least_squares_coeffs(a[:, kept], a)
-    total = reconstruction_error(a[:, kept], a, coeffs)
-    return SelectionResult(tuple(kept), coeffs, total, tuple(order))
+    return SelectionResult(tuple(kept), coeffs, tuple(order))
 
 
 @dataclass(frozen=True)
@@ -284,8 +273,8 @@ def fp_omp(a: np.ndarray, beta: float) -> SelectionResult:
     unselected column's residual energy (the diagonal of the correlations)
     is at most SPANNED_RESIDUAL, S spans the bank and every score is
     round-off: the remaining picks are the smallest unselected indices, as
-    exact ties would give.  The reported coefficients and errors are refit
-    against the original unnormalized columns.
+    exact ties would give.  The reported coefficients are refit against
+    the original unnormalized columns.
     """
     n = a.shape[1]
     t = retained_count(n, beta)

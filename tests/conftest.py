@@ -38,6 +38,13 @@ def scratch_lstsq_error(a: np.ndarray, b: np.ndarray) -> float:
     return float((resid * resid).sum())
 
 
+def residual_error(a: np.ndarray, sel) -> float:
+    """||A - A_S X||_F^2 of a selection's fit to all columns of a: summed
+    per column, the expression the selectors once reported."""
+    resid = a - a[:, list(sel.retained)] @ sel.coeffs
+    return float(np.einsum("ij,ij->j", resid, resid).sum())
+
+
 def rand_layer(
     rng: np.random.Generator,
     m: int,

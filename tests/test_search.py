@@ -19,7 +19,10 @@ from convprune import (
     candidate_for_layer,
     collect_layer_outputs,
     conv_forward,
+    flatten_filters,
     forward_all_layers,
+    fp_backward,
+    fp_omp,
     hbgs,
     hbgts,
     propagate_tree,
@@ -37,9 +40,7 @@ from conftest import rand_net
 
 
 def all_candidates(net, n_prune=1, fp_method="backward"):
-    return [
-        candidate_for_layer(layer, n_prune, fp_method)[0] for layer in net.layers
-    ]
+    return [candidate_for_layer(layer, n_prune, fp_method) for layer in net.layers]
 
 
 # --------------------------------------------------------------- candidates
@@ -47,10 +48,12 @@ def all_candidates(net, n_prune=1, fp_method="backward"):
 
 def test_candidate_for_layer_counts(rng):
     layer = ConvLayer(rng.standard_normal((6, 2, 3, 3)), activation="relu")
-    cand, sel = candidate_for_layer(layer, 2, "backward")
+    cand = candidate_for_layer(layer, 2, "backward")
+    sel = fp_backward(flatten_filters(layer), 2 / 6)
     assert cand.out_channels == 4
     assert cand.width == 6
     assert len(sel.retained) == 4
+    assert cand.weights.tobytes() == layer.weights[list(sel.retained)].tobytes()
     assert cand.activation == "relu"
     with pytest.raises(ValueError):
         candidate_for_layer(layer, 0, "backward")
@@ -61,7 +64,8 @@ def test_candidate_for_layer_counts(rng):
 def test_candidate_folds_existing_comp(rng):
     comp = rng.standard_normal((6, 4))
     layer = ConvLayer(rng.standard_normal((6, 2, 3, 3)), comp=comp)
-    cand, sel = candidate_for_layer(layer, 3, "omp")
+    cand = candidate_for_layer(layer, 3, "omp")
+    sel = fp_omp(flatten_filters(layer), 3 / 6)
     assert cand.comp.shape == (3, 4)
     kept = list(sel.retained)
     dropped = list(sel.removed)
@@ -338,6 +342,31 @@ def test_propagate_tree_raises_a_column_failure_after_joining(rng, monkeypatch):
     assert 5 <= events.count("conv") < 4 + (4 + 3 + 2 + 1)
 
 
+def test_propagate_tree_raises_the_lowest_failed_column(rng, monkeypatch):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    candidates = all_candidates(net)
+    first, second = RuntimeError("column 0"), RuntimeError("column 1")
+    raised = threading.Event()
+
+    def failing(layer, x):
+        if layer is candidates[1]:  # column 1 fails at once
+            raised.set()
+            raise second
+        if layer is candidates[0]:  # column 0 fails while column 1 has failed
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+            raise first
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        propagate_tree(net, candidates, data)
+    # both columns failed; a serial pass would have raised column 0's
+    assert raised.is_set()
+    assert excinfo.value is first
+
+
 def test_hbgts_batched_rounds_match_per_example_trees(rng, monkeypatch):
     net = rand_net(rng, [3, 8, 7, 6], k=3, activation="relu")
     data = rng.standard_normal((5, 3, 5, 5))
@@ -503,7 +532,7 @@ def replay_hbgs(net, data, cfg, rounds):
         candidates = [
             candidate_for_layer(
                 layer, min(cfg.alpha, layer.out_channels - cfg.floor), cfg.fp_method
-            )[0]
+            )
             if layer.out_channels > cfg.floor
             else None
             for layer in net.layers
@@ -595,7 +624,7 @@ def convs_per_round(driver, net, data, cfg, calls, monkeypatch):
         for c, layer in enumerate(loop.net.layers):
             where[id(layer)] = (c, "net")
             if c in loop.cache:
-                where[id(loop.cache[c][0])] = (c, "candidate")
+                where[id(loop.cache[c])] = (c, "candidate")
         rounds.append([where[id(layer)] for layer in calls])
         calls.clear()
         commit(loop, *args)
@@ -710,6 +739,8 @@ def test_hbgs_chain_convs_per_round(rng, monkeypatch):
         replay.append(len(data) * max(scored, default=0))
         restores += restored
         k = r.chosen_layer
+    # round 1 takes every chain from the references
+    want[0] -= len(data) * (len(net) - 1)
     assert per_round == want
     assert restores > 0
     assert sum(want) < sum(replay)  # fewer than a chain from the input
@@ -722,6 +753,7 @@ def test_hbgs_chain_keeps_every_other_input_between_rounds(rng, monkeypatch):
     score = search.relative_error_hbgs
     made = []  # weak references to every layer output made while scoring
     alive = []  # per round, how many of them outlive its scoring
+    kept = []  # per round, the chain entries past the input after scoring
 
     def output(layer, x):
         y = layer_output(layer, x)
@@ -735,6 +767,8 @@ def test_hbgs_chain_keeps_every_other_input_between_rounds(rng, monkeypatch):
         errors = score(*args)
         scoring = False
         alive.append(sum(ref() is not None for ref in made))
+        chains = args[4]
+        kept.append(sum(y is not None for chain in chains for y in chain[1:]))
         return errors
 
     scoring = False
@@ -743,9 +777,12 @@ def test_hbgs_chain_keeps_every_other_input_between_rounds(rng, monkeypatch):
     res = hbgs(net, data, PruneConfig(beta=0.3, alpha=2))
     assert len(alive) == len(res.rounds) > 3
     # each chain keeps its input and the inputs of odd layers, which are
-    # ceil((L - 1) / 2) arrays, and round 1 extends every chain to layer L - 1
+    # ceil((L - 1) / 2) arrays; round 1 takes every chain to layer L - 1
+    # from the references, so it makes none of them
     bound = len(data) * math.ceil((len(net) - 1) / 2)
-    assert alive[0] == bound
+    assert alive[0] == 0
+    assert kept[0] == bound
+    assert max(kept) <= bound
     assert max(alive) <= bound
 
 
