@@ -7,12 +7,17 @@ until the parameter budget is met.  Two scoring rules are provided:
 - hbgs compares each candidate against the original network's output *at
   that layer* (layerwise error: each example's chain of layer inputs is
   extended as far as the last candidate, and one candidate conv per
-  example scores each layer);
+  example scores each layer).  Examples do not depend on each other, so
+  the caller scores the even ones and one helper thread the odd ones,
+  with results identical to a serial pass;
 - hbgts propagates every candidate to the *final* output in a composite
   tree pass: one batched pass over the whole dataset per round instead of
   one pass per candidate.  The pass extends the unpruned chain first; its
   candidate columns do not depend on each other, so the caller and one
   helper thread fill them, with results identical to a serial pass.
+
+Both run through one runner, _on_two_threads, as does the reference pass
+of hbgs.
 
 Rounds are incremental.  A commit at layer k changes only layer k, so the
 next round reuses what it left unchanged: hbgts keeps its tree's chain up
@@ -38,7 +43,7 @@ from __future__ import annotations
 import math
 import threading
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -137,16 +142,72 @@ def _layer_output(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
     return apply_activation(layer.activation, conv_forward_linear(layer, x))
 
 
+def _on_two_threads(
+    work: Callable[[int], Iterator[None]],
+    caller_tasks: Iterable[int],
+    helper_tasks: Iterable[int],
+) -> None:
+    """Run the tasks of caller_tasks on the caller and those of helper_tasks
+    on one helper thread; pass one iterator as both for a shared queue.
+
+    work(i) runs task i as a generator, one conv per step.  Each thread
+    takes its tasks in the order its iterable gives and runs each one
+    whole.  The helper is joined before this returns or raises.  Once a
+    step raises, no further step or task starts, and of the tasks that
+    raised, the lowest one's exception is raised here, as a serial run
+    would raise it.
+    """
+    lock = threading.Lock()
+    failures: dict[int, BaseException] = {}  # task -> its exception
+
+    def run(tasks: Iterator[int]) -> None:
+        while not failures:
+            with lock:
+                i = next(tasks, None)
+            if i is None:
+                return
+            try:
+                for _ in work(i):
+                    if failures:
+                        return
+            except BaseException as exc:
+                failures[i] = exc
+
+    helper = threading.Thread(
+        target=run, args=(iter(helper_tasks),), name="convprune-helper"
+    )
+    helper.start()
+    try:
+        run(iter(caller_tasks))
+    finally:
+        helper.join()
+    if failures:
+        raise failures[min(failures)]
+
+
+def _by_parity(n: int) -> tuple[range, range]:
+    """Examples 0..n-1 split for _on_two_threads: the caller takes the even
+    ones and the helper the odd ones, so each example's arrays are always
+    made by the same thread."""
+    return range(0, n, 2), range(1, n, 2)
+
+
 def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarray]]:
-    """Per-example, per-layer post-activation outputs."""
-    refs = []
-    for x in data:
-        per_layer = []
-        y = x
+    """Per-example, per-layer post-activation outputs.
+
+    Examples run on the caller and one helper thread, each example on
+    one, so the outputs are those of a serial pass.
+    """
+    refs: list[list[np.ndarray]] = [[] for _ in data]
+
+    def outputs(i: int):
+        y = data[i]
         for layer in net.layers:
             y = _layer_output(layer, y)
-            per_layer.append(y)
-        refs.append(per_layer)
+            refs[i].append(y)
+            yield
+
+    _on_two_threads(outputs, *_by_parity(len(data)))
     return refs
 
 
@@ -160,16 +221,17 @@ def _norms(refs: list[list[np.ndarray]]) -> list[list[float]]:
     return [_each_norm(per_layer) for per_layer in refs]
 
 
-def _chain_input(net: Network, chain: list[np.ndarray | None], c: int) -> np.ndarray:
-    """chain[c], the input of layer c; entries that are missing or dropped
-    (None) are filled in from the last one present before them."""
+def _extend_chain(net: Network, chain: list[np.ndarray | None], c: int):
+    """Fill chain[c], the input of layer c, one conv per step; entries
+    that are missing or dropped (None) are filled in from the last one
+    present before them."""
     chain.extend([None] * (c + 1 - len(chain)))
     j = c
     while chain[j] is None:
         j -= 1
     for i in range(j, c):
         chain[i + 1] = _layer_output(net.layers[i], chain[i])
-    return chain[c]
+        yield
 
 
 def relative_error_hbgs(
@@ -194,21 +256,35 @@ def relative_error_hbgs(
     the missing entries run a conv.  Once the example is scored, its
     inputs of even layers >= 2 are dropped (None): a later call restores
     one with a single conv from the odd layer's input before it.
+
+    The caller scores the even examples and one helper thread the odd
+    ones, each into its own row of an error table; the rows are then added
+    in example order.  So every float, chain entry and dropped input is
+    that of a serial pass.  Of the examples whose conv raised, the lowest
+    one's exception is raised, after the helper is joined.
     """
     if chains is None:
         chains = [[x] for x in data]
     if ref_norms is None:
         ref_norms = _norms(refs)
-    errors = np.where([c is not None for c in candidates], 0.0, math.inf)
-    for i, chain in enumerate(chains):
+    table = np.zeros((len(chains), len(candidates)))  # row i: example i's errors
+
+    def score(i: int):
+        chain = chains[i]
         for c, cand in enumerate(candidates):
             if cand is None:
                 continue
-            y = _chain_input(net, chain, c)
+            yield from _extend_chain(net, chain, c)
             if ref_norms[i][c] != 0.0:
-                cand_out = _layer_output(cand, y)
-                errors[c] += float(np.linalg.norm(refs[i][c] - cand_out)) / ref_norms[i][c]
+                cand_out = _layer_output(cand, chain[c])
+                table[i, c] = float(np.linalg.norm(refs[i][c] - cand_out)) / ref_norms[i][c]
+                yield
         chain[2::2] = [None] * len(chain[2::2])
+
+    _on_two_threads(score, *_by_parity(len(chains)))
+    errors = np.where([c is not None for c in candidates], 0.0, math.inf)
+    for row in table:  # example order; a skipped reference adds 0.0
+        errors += row
     return errors
 
 
@@ -245,10 +321,9 @@ def propagate_tree(
     the caller and one helper thread fill them, each taking the next
     unfilled column in index order (in hbgts's passes, longest first).
     Every entry is the same conv on the same arrays as in a serial pass,
-    so the tree is identical to a serial one.  The helper is joined before
-    this returns or raises; once a conv raises, no further conv starts,
-    and of the columns whose conv raised, the lowest one's exception is
-    raised here, as a serial pass would raise it.
+    so the tree is identical to a serial one.  Of the columns whose conv
+    raised, the lowest one's exception is raised, after the helper is
+    joined.
     """
     if len(candidates) != len(net):
         raise ValueError(
@@ -262,33 +337,19 @@ def propagate_tree(
         chain.append(_layer_output(layer, chain[-1]))
     for c, cand in enumerate(candidates):
         columns[c] = None if cand is None else columns[c] or []
+
+    def fill(c: int):
+        column = columns[c]
+        while len(column) < len(net) - c:
+            if column:
+                layer, y = net.layers[c + len(column)], column[-1]
+            else:
+                layer, y = candidates[c], chain[c]
+            column.append(_layer_output(layer, y))
+            yield
+
     todo = iter([c for c, cand in enumerate(candidates) if cand is not None])
-    lock = threading.Lock()
-    failures: dict[int, BaseException] = {}  # column -> its exception
-
-    def fill() -> None:
-        while not failures:
-            with lock:
-                c = next(todo, None)
-            if c is None:
-                return
-            column = columns[c]
-            try:
-                while len(column) < len(net) - c and not failures:
-                    if column:
-                        layer, y = net.layers[c + len(column)], column[-1]
-                    else:
-                        layer, y = candidates[c], chain[c]
-                    column.append(_layer_output(layer, y))
-            except BaseException as exc:
-                failures[c] = exc
-
-    helper = threading.Thread(target=fill, name="convprune-tree")
-    helper.start()
-    fill()
-    helper.join()
-    if failures:
-        raise failures[min(failures)]
+    _on_two_threads(fill, todo, todo)
     return known
 
 
@@ -464,7 +525,10 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     candidate conv, and each example's chain keeps the inputs of layers
     <= k.  Between rounds a chain holds its input and the inputs of odd
     layers, so it costs at most half the network's activations and a
-    dropped input of layer k is restored with one conv.
+    dropped input of layer k is restored with one conv.  The references
+    and every round's scores are computed on the caller plus one helper
+    thread, one example per thread, with results identical to a serial
+    pass.
     """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data)

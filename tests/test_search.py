@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import time
 import weakref
@@ -76,10 +77,18 @@ def test_candidate_folds_existing_comp(rng):
 # ----------------------------------------------------------- layerwise error
 
 
-def test_collect_layer_outputs_matches_manual(rng):
+def test_collect_layer_outputs_matches_manual(rng, monkeypatch):
     net = rand_net(rng, [2, 5, 4, 3], k=3, activation="relu")
     data = rng.standard_normal((3, 2, 5, 5))
+    threads = set()
+
+    def logged(layer, x):
+        threads.add(threading.get_ident())
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", logged)
     refs = collect_layer_outputs(net, data)
+    assert len(threads) == 2  # examples run on the caller and one helper
     assert len(refs) == 3 and len(refs[0]) == 3
     for i, x in enumerate(data):
         y = x
@@ -124,6 +133,123 @@ def test_relative_error_hbgs_skips_zero_refs(rng, monkeypatch):
     np.testing.assert_array_equal(errors, np.zeros(2))
     # a skipped reference runs no candidate conv; only the chain runs
     assert calls == [net.layers[0]] * len(data)
+
+
+def serial_hbgs(net, candidates, refs, chains):
+    """relative_error_hbgs's definition, one example after another on one
+    thread: extend each chain to the last candidate's input, score every
+    candidate, then drop the inputs of even layers >= 2."""
+    errors = np.array([math.inf if cand is None else 0.0 for cand in candidates])
+    last = max(c for c, cand in enumerate(candidates) if cand is not None)
+    for i, chain in enumerate(chains):
+        chain.extend([None] * (last + 1 - len(chain)))
+        for c in range(1, last + 1):
+            if chain[c] is None:
+                chain[c] = conv_forward(net.layers[c - 1], chain[c - 1])
+        for c, cand in enumerate(candidates):
+            norm = float(np.linalg.norm(refs[i][c]))
+            if cand is not None and norm != 0.0:
+                out = conv_forward(cand, chain[c])
+                errors[c] += float(np.linalg.norm(refs[i][c] - out)) / norm
+        chain[2::2] = [None] * len(chain[2::2])
+    return errors
+
+
+def assert_same_chains(got, want):
+    assert len(got) == len(want)
+    for got_chain, want_chain in zip(got, want):
+        assert [y is None for y in got_chain] == [y is None for y in want_chain]
+        for y, ref in zip(got_chain, want_chain):
+            if y is not None:
+                assert y.tobytes() == ref.tobytes()
+
+
+def test_relative_error_hbgs_scores_examples_on_two_threads(rng, monkeypatch):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((5, 3, 5, 5))
+    data[3] = 0.0  # a zero-norm reference is skipped
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net, n_prune=2)
+    threads = []
+
+    def logged(layer, x):
+        threads.append(threading.get_ident())
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", logged)
+    chains = [[x] for x in data]
+    want_chains = [[x] for x in data]
+    # a fresh chain, then one whose inputs of even layers >= 2 were dropped
+    for _ in range(2):
+        threads.clear()
+        errors = relative_error_hbgs(net, candidates, data, refs, chains)
+        assert len(set(threads)) == 2
+        want = serial_hbgs(net, candidates, refs, want_chains)
+        assert errors.tobytes() == want.tobytes()
+        assert_same_chains(chains, want_chains)
+        assert all(chain[2] is None for chain in chains)
+
+
+def test_relative_error_hbgs_raises_an_example_failure_after_joining(
+    rng, monkeypatch
+):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net)
+    chains = [[x] for x in data]
+    boom = RuntimeError("conv failed")
+    events = []
+
+    def failing(layer, x):
+        events.append("conv")
+        time.sleep(0.001)
+        if x is chains[1][0]:  # example 1's first conv, while example 0 runs
+            events.append("raise")
+            raise boom
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        relative_error_hbgs(net, candidates, data, refs, chains)
+    assert excinfo.value is boom
+    assert threading.active_count() == before
+    # example 1's conv and some of example 0's, then no conv starts after
+    # the raise
+    assert events.count("raise") == 1 and events[-1] == "raise"
+    assert 1 <= events.count("conv") < 2 * (4 + 3)
+
+
+def test_relative_error_hbgs_raises_the_lowest_failed_example(rng, monkeypatch):
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net)
+    chains = [[x] for x in data]
+    first, second = RuntimeError("example 0"), RuntimeError("example 1")
+    started, raised = threading.Event(), threading.Event()
+
+    def failing(layer, x):
+        if x is chains[1][0]:  # example 1 fails once example 0 runs a conv
+            started.wait(timeout=5.0)
+            raised.set()
+            raise second
+        if x is chains[0][0]:  # example 0 fails while example 1 has failed
+            started.set()
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+            raise first
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        relative_error_hbgs(net, candidates, data, refs, chains)
+    # both examples failed; a serial pass would have raised example 0's
+    assert started.is_set() and raised.is_set()
+    assert excinfo.value is first
+    assert threading.active_count() == before
 
 
 # ------------------------------------------------------------- tree scoring
@@ -365,6 +491,37 @@ def test_propagate_tree_raises_the_lowest_failed_column(rng, monkeypatch):
     # both columns failed; a serial pass would have raised column 0's
     assert raised.is_set()
     assert excinfo.value is first
+
+
+def test_two_thread_passes_under_a_short_switch_interval(rng, monkeypatch):
+    # the interpreter switches threads every few microseconds, so a task
+    # taken twice or lost, or a table entry lost, would show
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((5, 3, 5, 5))
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net, n_prune=2)
+    want_tree = serial_tree(net, candidates, data)
+    want_chains = [[x] for x in data]
+    want_errors = serial_hbgs(net, candidates, refs, want_chains).tobytes()
+    calls = conv_log(monkeypatch)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(20):
+            calls.clear()
+            tree = propagate_tree(net, candidates, data)
+            assert len(calls) == 4 + (4 + 3 + 2 + 1)
+            for col, ref_col in zip(tree.columns, want_tree.columns, strict=True):
+                assert [y.tobytes() for y in col] == [y.tobytes() for y in ref_col]
+            calls.clear()
+            chains = [[x] for x in data]
+            errors = relative_error_hbgs(net, candidates, data, refs, chains)
+            assert len(calls) == len(data) * (4 + 3)
+            assert errors.tobytes() == want_errors
+            assert_same_chains(chains, want_chains)
+            assert len(collect_layer_outputs(net, data)) == len(data)
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_hbgts_batched_rounds_match_per_example_trees(rng, monkeypatch):
@@ -792,11 +949,22 @@ def test_relative_error_hbgs_chain_stops_at_last_candidate(rng, monkeypatch):
     refs = collect_layer_outputs(net, data)
     candidates = all_candidates(net)
     candidates[2] = candidates[3] = None
-    calls = conv_log(monkeypatch)
+    calls = []
+
+    def counted(layer, x):
+        calls.append((threading.get_ident(), layer))
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", counted)
     relative_error_hbgs(net, candidates, data, refs)
-    # the chain only feeds layer 1, the last one with a candidate
+    # the chain only feeds layer 1, the last one with a candidate.  Examples
+    # run concurrently, so only the order within a thread is defined: the
+    # caller scores examples 0 and 2, the helper example 1.
     per_example = [candidates[0], net.layers[0], candidates[1]]
-    assert calls == per_example * len(data)
+    per_thread = {}
+    for ident, layer in calls:
+        per_thread.setdefault(ident, []).append(layer)
+    assert sorted(per_thread.values(), key=len) == [per_example, per_example * 2]
 
 
 def test_random_baseline_builds_through_the_candidate_cache(rng, monkeypatch):
