@@ -1,7 +1,8 @@
 """Command-line interface: gen, prune, eval, verify.
 
-Exit codes: 0 success, 1 usage error, 2 file/parse error or a model that
-prune cannot select from (an all-zero filter), 3 the pruning run
+Exit codes: 0 success, 1 usage error, 2 file/parse error, a model that
+prune cannot select from (an all-zero filter) or one that eval cannot
+compare with its reference (another final width), 3 the pruning run
 stopped before reaching its budget, 4 a verification suite exceeded its
 tolerance, 5 a numerical failure (singular or non-finite linear algebra).
 """

@@ -7,6 +7,7 @@ suites back the `verify` CLI command and the acceptance tests.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,11 +38,13 @@ class SuiteResult:
 
     @property
     def ok(self) -> bool:
-        return self.mismatches == 0 and self.max_deviation <= self.tolerance
+        return not self.failures
 
     def record(self, trial_seed: int, deviation: float, mismatch: bool = False):
-        self.max_deviation = max(self.max_deviation, deviation)
-        if mismatch or deviation > self.tolerance:
+        # a NaN compares False with everything, so it is kept by name
+        if math.isnan(deviation) or deviation > self.max_deviation:
+            self.max_deviation = deviation
+        if mismatch or not math.isfinite(deviation) or deviation > self.tolerance:
             self.mismatches += int(mismatch)
             self.failures.append(trial_seed)
 

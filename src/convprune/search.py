@@ -17,7 +17,8 @@ until the parameter budget is met.  Two scoring rules are provided:
   helper thread fill them, with results identical to a serial pass.
 
 Both run through one runner, _on_two_threads, as does the reference pass
-of hbgs.
+of hbgs.  Tasks below a failed one run whole and none above it starts,
+so it raises what a serial pass raises.
 
 Rounds are incremental.  A commit at layer k changes only layer k, so the
 next round reuses what it left unchanged: hbgts keeps its tree's chain up
@@ -51,6 +52,7 @@ from .compensation import apply_pruning, compensate_output, identity_comp
 from .metrics import count_stats, param_reduction
 from .nets import (
     ConvLayer,
+    DimensionError,
     Network,
     apply_activation,
     check_dataset,
@@ -143,35 +145,33 @@ def _layer_output(layer: ConvLayer, x: np.ndarray) -> np.ndarray:
 
 
 def _on_two_threads(
-    work: Callable[[int], Iterator[None]],
+    work: Callable[[int], None],
     caller_tasks: Iterable[int],
     helper_tasks: Iterable[int],
 ) -> None:
-    """Run the tasks of caller_tasks on the caller and those of helper_tasks
-    on one helper thread; pass one iterator as both for a shared queue.
+    """Run work(i) for the tasks of caller_tasks on the caller and those of
+    helper_tasks on one helper thread; pass one iterator as both for a
+    shared queue.
 
-    work(i) runs task i as a generator, one conv per step.  Each thread
-    takes its tasks in the order its iterable gives and runs each one
-    whole.  The helper is joined before this returns or raises.  Once a
-    step raises, no further step or task starts, and of the tasks that
-    raised, the lowest one's exception is raised here, as a serial run
-    would raise it.
+    Each thread takes its tasks in ascending order and runs each one
+    whole.  No task above a failed one starts; the tasks below it run on,
+    as in a serial pass.  The helper is joined before this returns or
+    raises the lowest failed task's exception, which a serial pass raises.
     """
     lock = threading.Lock()
     failures: dict[int, BaseException] = {}  # task -> its exception
 
     def run(tasks: Iterator[int]) -> None:
-        while not failures:
+        while True:
             with lock:
                 i = next(tasks, None)
-            if i is None:
-                return
+                if i is None or any(f < i for f in failures):
+                    return
             try:
-                for _ in work(i):
-                    if failures:
-                        return
+                work(i)
             except BaseException as exc:
-                failures[i] = exc
+                with lock:
+                    failures[i] = exc
 
     helper = threading.Thread(
         target=run, args=(iter(helper_tasks),), name="convprune-helper"
@@ -200,12 +200,11 @@ def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarra
     """
     refs: list[list[np.ndarray]] = [[] for _ in data]
 
-    def outputs(i: int):
+    def outputs(i: int) -> None:
         y = data[i]
         for layer in net.layers:
             y = _layer_output(layer, y)
             refs[i].append(y)
-            yield
 
     _on_two_threads(outputs, *_by_parity(len(data)))
     return refs
@@ -221,17 +220,16 @@ def _norms(refs: list[list[np.ndarray]]) -> list[list[float]]:
     return [_each_norm(per_layer) for per_layer in refs]
 
 
-def _extend_chain(net: Network, chain: list[np.ndarray | None], c: int):
-    """Fill chain[c], the input of layer c, one conv per step; entries
-    that are missing or dropped (None) are filled in from the last one
-    present before them."""
+def _extend_chain(net: Network, chain: list[np.ndarray | None], c: int) -> None:
+    """Fill chain[c], the input of layer c; entries that are missing or
+    dropped (None) are filled in from the last one present before them.
+    A started example's task runs this whole unless its own conv raises."""
     chain.extend([None] * (c + 1 - len(chain)))
     j = c
     while chain[j] is None:
         j -= 1
     for i in range(j, c):
         chain[i + 1] = _layer_output(net.layers[i], chain[i])
-        yield
 
 
 def relative_error_hbgs(
@@ -260,8 +258,9 @@ def relative_error_hbgs(
     The caller scores the even examples and one helper thread the odd
     ones, each into its own row of an error table; the rows are then added
     in example order.  So every float, chain entry and dropped input is
-    that of a serial pass.  Of the examples whose conv raised, the lowest
-    one's exception is raised, after the helper is joined.
+    that of a serial pass.  Examples below a failed one run whole and none
+    above it starts, so after the helper is joined the lowest failed
+    example's exception is raised, as in a serial pass.
     """
     if chains is None:
         chains = [[x] for x in data]
@@ -269,16 +268,15 @@ def relative_error_hbgs(
         ref_norms = _norms(refs)
     table = np.zeros((len(chains), len(candidates)))  # row i: example i's errors
 
-    def score(i: int):
+    def score(i: int) -> None:
         chain = chains[i]
         for c, cand in enumerate(candidates):
             if cand is None:
                 continue
-            yield from _extend_chain(net, chain, c)
+            _extend_chain(net, chain, c)
             if ref_norms[i][c] != 0.0:
                 cand_out = _layer_output(cand, chain[c])
                 table[i, c] = float(np.linalg.norm(refs[i][c] - cand_out)) / ref_norms[i][c]
-                yield
         chain[2::2] = [None] * len(chain[2::2])
 
     _on_two_threads(score, *_by_parity(len(chains)))
@@ -321,9 +319,9 @@ def propagate_tree(
     the caller and one helper thread fill them, each taking the next
     unfilled column in index order (in hbgts's passes, longest first).
     Every entry is the same conv on the same arrays as in a serial pass,
-    so the tree is identical to a serial one.  Of the columns whose conv
-    raised, the lowest one's exception is raised, after the helper is
-    joined.
+    so the tree is identical to a serial one.  Columns below a failed one
+    run whole and none above it starts, so after the helper is joined the
+    lowest failed column's exception is raised, as in a serial pass.
     """
     if len(candidates) != len(net):
         raise ValueError(
@@ -338,7 +336,7 @@ def propagate_tree(
     for c, cand in enumerate(candidates):
         columns[c] = None if cand is None else columns[c] or []
 
-    def fill(c: int):
+    def fill(c: int) -> None:
         column = columns[c]
         while len(column) < len(net) - c:
             if column:
@@ -346,7 +344,6 @@ def propagate_tree(
             else:
                 layer, y = candidates[c], chain[c]
             column.append(_layer_output(layer, y))
-            yield
 
     todo = iter([c for c, cand in enumerate(candidates) if cand is not None])
     _on_two_threads(fill, todo, todo)
@@ -402,6 +399,9 @@ def relative_output_error(
     summed in dataset order, and zero-norm references are skipped and counted.
     """
     data = check_dataset(reference, data)
+    width, ref_width = net.layers[-1].width, reference.layers[-1].width
+    if width != ref_width:
+        raise DimensionError(f"model has final width {width}, reference has {ref_width}")
     refs = final_output(reference, data)
     return _relative_sum(refs, final_output(net, data), _each_norm(refs))
 
@@ -526,9 +526,8 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     <= k.  Between rounds a chain holds its input and the inputs of odd
     layers, so it costs at most half the network's activations and a
     dropped input of layer k is restored with one conv.  The references
-    and every round's scores are computed on the caller plus one helper
-    thread, one example per thread, with results identical to a serial
-    pass.
+    and scores run on the caller plus one helper thread, one example per
+    thread, with results identical to a serial pass.
     """
     data = check_dataset(net, data)
     refs = collect_layer_outputs(net, data)

@@ -300,6 +300,20 @@ def test_data_model_mismatch_exits_2(workspace, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("width", [1, 2])
+def test_eval_against_another_final_width_exits_2(workspace, capsys, width):
+    tmp_path, model, data = workspace
+    ref_net, input_shape = read_model(model)
+    last = ref_net.layers[-1]
+    rng = np.random.default_rng(width)
+    narrow = ConvLayer(rng.standard_normal((width, last.in_channels, 3, 3)))
+    other = tmp_path / "other.json"
+    write_model(ref_net.with_layer(len(ref_net) - 1, narrow), input_shape, other)
+    assert run("eval", "--model", str(other), "--data", str(data),
+               "--reference-model", str(model)) == 2
+    assert f"final width {width}, reference has 8" in capsys.readouterr().err
+
+
 def test_numerical_failure_exits_5(workspace, monkeypatch, capsys):
     tmp_path, model, data = workspace
 

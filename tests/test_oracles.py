@@ -33,6 +33,16 @@ def test_suite_result_bookkeeping():
     assert "demo:" in r2.line()
 
 
+def test_suite_result_fails_a_nan_deviation():
+    r = SuiteResult("demo", trials=3, tolerance=1e-6)
+    r.record(0, 1e-9)
+    r.record(1, float("nan"))
+    r.record(2, 1e-9)  # a later finite deviation does not hide the NaN
+    assert not r.ok
+    assert r.failures == [1]
+    assert "max_deviation=nan" in r.line() and "FAIL" in r.line()
+
+
 def test_lstsq_error_matches_manual(rng):
     a = rng.standard_normal((12, 4))
     b = rng.standard_normal((12, 3))

@@ -199,13 +199,12 @@ def test_relative_error_hbgs_raises_an_example_failure_after_joining(
     candidates = all_candidates(net)
     chains = [[x] for x in data]
     boom = RuntimeError("conv failed")
-    events = []
+    convs = []
 
     def failing(layer, x):
-        events.append("conv")
+        convs.append((layer, x))
         time.sleep(0.001)
         if x is chains[1][0]:  # example 1's first conv, while example 0 runs
-            events.append("raise")
             raise boom
         return conv_forward_linear(layer, x)
 
@@ -215,10 +214,13 @@ def test_relative_error_hbgs_raises_an_example_failure_after_joining(
         relative_error_hbgs(net, candidates, data, refs, chains)
     assert excinfo.value is boom
     assert threading.active_count() == before
-    # example 1's conv and some of example 0's, then no conv starts after
-    # the raise
-    assert events.count("raise") == 1 and events[-1] == "raise"
-    assert 1 <= events.count("conv") < 2 * (4 + 3)
+    # example 0, below the failed example, runs whole: its 4 candidate and
+    # 3 chain convs; example 1 runs only the conv that raised
+    assert Counter(id(x) for _, x in convs)[id(chains[1][0])] == 1
+    assert Counter(id(layer) for layer, _ in convs) == Counter(
+        map(id, [*candidates, *net.layers[:3], candidates[0]])
+    )
+    assert len(chains[0]) == 4
 
 
 def test_relative_error_hbgs_raises_the_lowest_failed_example(rng, monkeypatch):
@@ -250,6 +252,38 @@ def test_relative_error_hbgs_raises_the_lowest_failed_example(rng, monkeypatch):
     assert started.is_set() and raised.is_set()
     assert excinfo.value is first
     assert threading.active_count() == before
+
+
+def test_relative_error_hbgs_runs_a_lower_example_on_after_a_failure(
+    rng, monkeypatch
+):
+    # example 0's first conv succeeds slowly and its second raises, while
+    # example 1's first conv raises at once: a serial pass raises example
+    # 0's exception, so example 0 must run on after example 1 has failed
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    refs = collect_layer_outputs(net, data)
+    candidates = all_candidates(net)
+    chains = [[x] for x in data]
+    first, second = RuntimeError("example 0"), RuntimeError("example 1")
+    raised = threading.Event()
+
+    def failing(layer, x):
+        if x is chains[1][0]:  # example 1's first conv
+            raised.set()
+            raise second
+        if x is chains[0][0] and layer is candidates[0]:  # example 0's first
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+        elif x is chains[0][0]:  # example 0's second: the chain's layer 0
+            raise first
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        relative_error_hbgs(net, candidates, data, refs, chains)
+    assert raised.is_set()
+    assert excinfo.value is first
 
 
 # ------------------------------------------------------------- tree scoring
@@ -447,14 +481,17 @@ def test_propagate_tree_raises_a_column_failure_after_joining(rng, monkeypatch):
     data = rng.standard_normal((2, 3, 5, 5))
     candidates = all_candidates(net)
     boom = RuntimeError("conv failed")
-    events = []
+    raised = threading.Event()
+    convs = []
 
     def failing(layer, x):
-        events.append("conv")
+        convs.append(layer)
         time.sleep(0.001)
         if layer is candidates[1]:  # column 1's first conv, while column 0 runs
-            events.append("raise")
+            raised.set()
             raise boom
+        if layer is candidates[0]:  # column 1 fails while column 0 runs
+            raised.wait(timeout=5.0)
         return conv_forward_linear(layer, x)
 
     monkeypatch.setattr(search, "conv_forward_linear", failing)
@@ -463,9 +500,11 @@ def test_propagate_tree_raises_a_column_failure_after_joining(rng, monkeypatch):
         propagate_tree(net, candidates, data)
     assert excinfo.value is boom
     assert threading.active_count() == before
-    # the chain's 4 convs and column 1's, then no conv starts after the raise
-    assert events.count("raise") == 1 and events[-1] == "raise"
-    assert 5 <= events.count("conv") < 4 + (4 + 3 + 2 + 1)
+    # the chain's 4 convs, column 0's 4 (below the failed column, it runs
+    # whole) and column 1's 1; no conv of the columns above it
+    assert Counter(map(id, convs)) == Counter(
+        map(id, [*net.layers, candidates[0], *net.layers[1:], candidates[1]])
+    )
 
 
 def test_propagate_tree_raises_the_lowest_failed_column(rng, monkeypatch):
@@ -491,6 +530,80 @@ def test_propagate_tree_raises_the_lowest_failed_column(rng, monkeypatch):
     # both columns failed; a serial pass would have raised column 0's
     assert raised.is_set()
     assert excinfo.value is first
+
+
+def test_propagate_tree_runs_a_lower_column_on_after_a_failure(rng, monkeypatch):
+    # column 0's first conv succeeds slowly and its second raises, while
+    # column 1's first conv raises at once: a serial pass raises column 0's
+    # exception, so column 0 must run on after column 1 has failed
+    net = rand_net(rng, [3, 6, 5, 5, 4], k=3, activation="relu")
+    data = rng.standard_normal((2, 3, 5, 5))
+    candidates = all_candidates(net)
+    first, second = RuntimeError("column 0"), RuntimeError("column 1")
+    raised, cand0_done = threading.Event(), threading.Event()
+
+    def failing(layer, x):
+        if layer is candidates[1]:  # column 1's first conv
+            raised.set()
+            raise second
+        if layer is candidates[0]:  # column 0's first conv
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+            cand0_done.set()
+        elif layer is net.layers[1] and cand0_done.is_set():  # column 0's second
+            raise first
+        return conv_forward_linear(layer, x)
+
+    monkeypatch.setattr(search, "conv_forward_linear", failing)
+    with pytest.raises(RuntimeError) as excinfo:
+        propagate_tree(net, candidates, data)
+    assert raised.is_set()
+    assert excinfo.value is first
+
+
+def test_on_two_threads_runs_below_a_failure_and_starts_nothing_above():
+    started, finished = [], []
+    boom = RuntimeError("task 4")
+    raised = threading.Event()
+
+    def work(i):
+        started.append(i)
+        if i == 3:  # in progress on the helper while task 4 fails
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+        if i == 4:
+            raised.set()
+            raise boom
+        finished.append(i)
+
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as excinfo:
+        search._on_two_threads(work, *search._by_parity(8))
+    assert excinfo.value is boom
+    assert threading.active_count() == before
+    assert sorted(finished) == [0, 1, 2, 3]
+    assert sorted(started) == [0, 1, 2, 3, 4]
+
+
+def test_on_two_threads_raises_the_lowest_failed_task():
+    started = []
+    low, high = RuntimeError("task 2"), RuntimeError("task 5")
+    raised = threading.Event()
+
+    def work(i):
+        started.append(i)
+        if i == 5:  # fails first, on the helper
+            raised.set()
+            raise high
+        if i == 2:  # fails after task 5 has, on the caller
+            raised.wait(timeout=5.0)
+            time.sleep(0.01)
+            raise low
+
+    with pytest.raises(RuntimeError) as excinfo:
+        search._on_two_threads(work, *search._by_parity(8))
+    assert excinfo.value is low
+    assert sorted(started) == [0, 1, 2, 3, 5]
 
 
 def test_two_thread_passes_under_a_short_switch_interval(rng, monkeypatch):
@@ -1097,6 +1210,16 @@ def test_relative_output_error_identity(rng):
     assert skips == 0
     total, skips = relative_output_error(net, net, np.zeros((2, 2, 4, 4)))
     assert skips == 2
+
+
+@pytest.mark.parametrize("width", [1, 2])
+def test_relative_output_error_rejects_another_final_width(rng, width, monkeypatch):
+    reference = rand_net(rng, [2, 6, 5], k=3, activation="relu")
+    net = rand_net(rng, [2, 6, width], k=3, activation="relu")
+    calls = conv_log(monkeypatch)
+    with pytest.raises(DimensionError, match=f"final width {width}, reference has 5"):
+        relative_output_error(net, reference, rng.standard_normal((3, 2, 4, 4)))
+    assert calls == []  # raised before any conv
 
 
 def test_relative_output_error_matches_per_example_sum(rng):
