@@ -4,12 +4,14 @@ Models are JSON with flat row-major weight lists, so they stay readable and
 diffable; floats round-trip exactly through repr.  The writer streams each
 weight and comp array to the file in bounded chunks, so it never holds a
 Python float per weight, and the bytes are exactly those of one
-json.dump(doc, sort_keys=True, indent=1) of the whole model.  Tensors use a
-small binary container: magic "PKT1", little-endian u32 rank, u32 dims, then
-the float64 payload in row-major order.  Reports echo the run configuration,
-every committed round, and the per-round heatmap table as embedded CSV; the
-encoder is deterministic (sorted keys, no timestamps) so identical runs
-produce byte-identical files.
+json.dump(doc, sort_keys=True, indent=1) of the whole model.  The reader
+turns each array into a float64 array as soon as the parser has built its
+JSON object, so the Python floats of at most one array exist at a time.
+Tensors use a small binary container: magic "PKT1", little-endian u32 rank,
+u32 dims, then the float64 payload in row-major order.  Reports echo the run
+configuration, every committed round, and the per-round heatmap table as
+embedded CSV; the encoder is deterministic (sorted keys, no timestamps) so
+identical runs produce byte-identical files.
 """
 from __future__ import annotations
 
@@ -90,23 +92,41 @@ def _write_floats(fh, arr: np.ndarray, sep: str) -> None:
         fh.write(sep.join(map(repr, arr.flat[start : start + _CHUNK].tolist())))
 
 
-def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
-    """A flat JSON list of numbers as a float64 array of the given shape.
+def _arrays_hook(obj: dict) -> dict:
+    """json object_hook: a layer's weights and a comp map's data list, as a
+    flat float64 array if every value is a JSON number.
 
-    A value that is not a JSON number is an error, as in the shape fields,
-    although NumPy would convert a numeric string or a bool.
+    It runs as soon as each object has been parsed, so the Python floats of
+    one array are freed before the next array is parsed.  A list it cannot
+    convert stays a list, for _float_array to reject.
     """
-    # the value types, checked in C with no bytecode per value: the dtype
-    # NumPy infers for [0.5, true] is float64, which hides the bool
-    if not isinstance(values, list) or not {float, int}.issuperset(map(type, values)):
+    for key in ("weights", "data"):
+        values = obj.get(key)
+        # the value types, checked in C with no bytecode per value: the
+        # dtype NumPy infers for [0.5, true] is float64, which hides the bool
+        if type(values) is list and {float, int}.issuperset(map(type, values)):
+            try:
+                obj[key] = np.asarray(values, dtype=np.float64)
+            except OverflowError:  # an int beyond float64
+                pass
+    return obj
+
+
+def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """A flat array from _arrays_hook, checked and given its shape.
+
+    Anything else was a list holding a value that is not a JSON number
+    (an error, as in the shape fields, although NumPy would convert a
+    numeric string or a bool), or no list at all.
+    """
+    if not isinstance(values, np.ndarray):
         raise ModelIOError(f"{what} is not a flat list of numbers")
-    flat = np.asarray(values, dtype=np.float64)
     expected = math.prod(shape)
-    if flat.size != expected:
-        raise ModelIOError(f"{what} holds {flat.size} values, expected {expected}")
-    if not np.all(np.isfinite(flat)):
+    if values.size != expected:
+        raise ModelIOError(f"{what} holds {values.size} values, expected {expected}")
+    if not np.all(np.isfinite(values)):
         raise ModelIOError(f"{what} contains non-finite values")
-    return flat.reshape(shape)
+    return values.reshape(shape)
 
 
 def _int_field(value, what: str) -> int:
@@ -115,6 +135,12 @@ def _int_field(value, what: str) -> int:
     if isinstance(value, bool) or not isinstance(value, numbers.Integral):
         raise ModelIOError(f"{what} must be an integer, got {value!r}")
     return int(value)
+
+
+def _check_schema(value, supported: int, kind: str) -> None:
+    """A schema_version is a JSON integer (true and 1.0 equal 1 in Python)."""
+    if _int_field(value, "schema_version") != supported:
+        raise SchemaError(f"{kind} schema {value} unsupported (expected {supported})")
 
 
 def _layer_from_json(entry: dict, index: int) -> ConvLayer:
@@ -132,7 +158,7 @@ def _layer_from_json(entry: dict, index: int) -> ConvLayer:
         return ConvLayer(weights=weights, comp=comp, activation=activation)
     except ModelIOError as exc:
         raise ModelIOError(f"layer {index}: {exc}") from None
-    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"layer {index}: missing or malformed field ({exc})") from None
 
 
@@ -168,16 +194,12 @@ def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
 def read_model(path) -> tuple[Network, tuple[int, int, int]]:
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_hook=_arrays_hook)
     except json.JSONDecodeError as exc:
         raise ModelIOError(f"not a model file: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a model file: no schema_version")
-    if doc["schema_version"] != MODEL_SCHEMA_VERSION:
-        raise SchemaError(
-            f"model schema {doc['schema_version']} unsupported "
-            f"(expected {MODEL_SCHEMA_VERSION})"
-        )
+    _check_schema(doc["schema_version"], MODEL_SCHEMA_VERSION, "model")
     try:
         shape = tuple(_int_field(v, "input_shape entry") for v in doc["input_shape"])
         entries = doc["layers"]
@@ -371,11 +393,7 @@ def read_report(path) -> PruneReport:
         raise ModelIOError(f"not a report file: {exc}") from None
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a report file: no schema_version")
-    if doc["schema_version"] != REPORT_SCHEMA_VERSION:
-        raise SchemaError(
-            f"report schema {doc['schema_version']} unsupported "
-            f"(expected {REPORT_SCHEMA_VERSION})"
-        )
+    _check_schema(doc["schema_version"], REPORT_SCHEMA_VERSION, "report")
     try:
         return PruneReport(
             config=doc["config"],

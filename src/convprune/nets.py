@@ -10,7 +10,9 @@ composite output width fixed while its K x K filter bank shrinks.
 
 Layers are immutable: a layer owns read-only copies of its arrays and builds
 its GEMM weight matrix once, so a layer can be shared by threads and kept
-across rounds.  Changing a layer means building a new one.
+across rounds.  Changing a layer means building a new one.  A layer holds
+one copy of its weights: for K > 1 the K x K filter bank is a view of the
+GEMM matrix, and for K = 1 the GEMM matrix is a view of the filter bank.
 """
 from __future__ import annotations
 
@@ -55,6 +57,9 @@ class ConvLayer:
     The layer is frozen and compares by identity.  gemm_weights is the
     (K*K*in_channels, out_channels) matrix the im2col GEMM multiplies by:
     row (a*K + b)*in_channels + i, column j holds weights[j, i, a, b].
+    Both arrays share one buffer.  For K > 1 it is the C-ordered GEMM
+    matrix, copied once from the source, and weights is a strided view of
+    it; for K = 1 it is the copied source, and gemm_weights is a view.
     """
 
     weights: np.ndarray
@@ -63,12 +68,14 @@ class ConvLayer:
     gemm_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        weights = _owned_f64(self.weights, "weights")
-        if weights.ndim != 4:
+        source = np.asarray(self.weights, dtype=np.float64)
+        if source.size == 0:
+            raise DimensionError("weights must be non-empty")
+        if source.ndim != 4:
             raise DimensionError(
-                f"weights must be (out, in, K, K), got shape {weights.shape}"
+                f"weights must be (out, in, K, K), got shape {source.shape}"
             )
-        n, m, kh, kw = weights.shape
+        n, m, kh, kw = source.shape
         if kh != kw:
             raise DimensionError(f"kernel must be square, got {kh}x{kw}")
         comp = self.comp
@@ -80,13 +87,23 @@ class ConvLayer:
                 )
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"unknown activation {self.activation!r}")
-        # built here, not on first use: threads share layers.  The reshape
-        # copies for K > 1 and is a column-major view of weights for K = 1,
-        # the layout the GEMM always saw.
-        gemm = weights.transpose(2, 3, 1, 0).reshape(kh * kw * m, n)
+        # built here, not on first use: threads share layers
+        if kh == 1:
+            # a view of the copied weights, in the layout the GEMM has
+            # always seen for K = 1
+            weights = _owned_f64(source, "weights")
+            gemm = weights.transpose(2, 3, 1, 0).reshape(m, n)
+        else:
+            # the one copy, a C-ordered (K, K, m, n) buffer: a GEMM on
+            # another layout would change the floats' last bits
+            buf = np.empty((kh, kw, m, n))
+            buf[...] = source.transpose(2, 3, 1, 0)
+            buf = _read_only(buf)
+            gemm = buf.reshape(kh * kw * m, n)
+            weights = buf.transpose(3, 2, 0, 1)
         object.__setattr__(self, "weights", weights)
         object.__setattr__(self, "comp", comp)
-        object.__setattr__(self, "gemm_weights", _read_only(gemm))
+        object.__setattr__(self, "gemm_weights", gemm)
 
     @property
     def out_channels(self) -> int:

@@ -67,8 +67,10 @@ class ConsistencyError(ValueError):
 def flatten_filters(layer: ConvLayer) -> np.ndarray:
     """The layer's filter matrix: column j is filter j flattened over
     (in_channels, K, K), so the matrix is (K*K*m, n)."""
-    mat = layer.weights.reshape(layer.out_channels, -1).T
-    mat = np.ascontiguousarray(mat, dtype=np.float64)
+    n, m, k = layer.out_channels, layer.in_channels, layer.kernel_size
+    # one gather from the GEMM matrix, whose rows run over (K, K, m)
+    mat = layer.gemm_weights.reshape(k, k, m, n).transpose(2, 0, 1, 3)
+    mat = np.ascontiguousarray(mat.reshape(m * k * k, n))
     norms = np.linalg.norm(mat, axis=0)
     if np.any(norms <= 1e-300):
         dead = int(np.argmin(norms))

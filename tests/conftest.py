@@ -45,6 +45,15 @@ def residual_error(a: np.ndarray, sel) -> float:
     return float(np.einsum("ij,ij->j", resid, resid).sum())
 
 
+def assert_one_weight_array(layer: ConvLayer) -> None:
+    """The layer holds its weights once: for K > 1 weights is a view of the
+    C-ordered GEMM matrix, and for K = 1 the GEMM matrix is a view of
+    weights."""
+    assert np.shares_memory(layer.weights, layer.gemm_weights)
+    if layer.kernel_size > 1:
+        assert layer.gemm_weights.flags.c_contiguous
+
+
 def rand_layer(
     rng: np.random.Generator,
     m: int,

@@ -19,7 +19,7 @@ from convprune import (
 )
 from convprune.nets import conv_forward_linear
 
-from conftest import rand_layer
+from conftest import assert_one_weight_array, rand_layer
 
 
 def pruned_pair(rng, m=3, n=6, k=3, beta=0.5, rank=None, select=fp_backward):
@@ -132,6 +132,19 @@ def test_apply_pruning_owns_its_arrays(rng):
     assert not np.shares_memory(pruned.weights, layer.weights)
     assert not np.shares_memory(pruned.comp, g_prime)
     np.testing.assert_array_equal(pruned.comp, g_prime)
+
+
+@pytest.mark.parametrize("k", [1, 3])
+def test_pruned_layer_holds_one_weight_array(rng, k):
+    layer = rand_layer(rng, 3, 6, k=k)
+    sel = fp_backward(flatten_filters(layer), beta=0.5)
+    pruned = apply_pruning(layer, sel, compensate_output(identity_comp(layer), sel))
+    assert_one_weight_array(pruned)
+    np.testing.assert_array_equal(pruned.weights, layer.weights[list(sel.retained)])
+    # and again from the pruned layer's own strided weights
+    again = fp_backward(flatten_filters(pruned), beta=0.34)
+    twice = apply_pruning(pruned, again, compensate_output(pruned.comp, again))
+    assert_one_weight_array(twice)
 
 
 def test_pruned_layer_preserves_activation(rng):

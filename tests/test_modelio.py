@@ -5,6 +5,7 @@ import io
 import json
 import math
 import struct
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ from convprune import (
     write_tensor,
 )
 
-from conftest import rand_net
+from conftest import assert_one_weight_array, rand_net
 
 
 # ------------------------------------------------------------------- models
@@ -59,11 +60,46 @@ def test_model_roundtrip_is_exact(rng, tmp_path):
     assert len(back) == 3
     for a, b in zip(net.layers, back.layers):
         assert a.weights.tobytes() == b.weights.tobytes()
+        assert_one_weight_array(b)
         assert a.activation == b.activation
         if a.comp is None:
             assert b.comp is None
         else:
             assert a.comp.tobytes() == b.comp.tobytes()
+
+
+def test_read_model_peak_is_bounded_by_the_text(tmp_path):
+    # short reprs, so that a Python float per weight (32 bytes with its list
+    # slot) costs several times its text; decoding the text alone holds the
+    # file's bytes and its str at once, about 2x the file
+    rng = np.random.default_rng(0)
+    layers = [
+        ConvLayer(rng.integers(-8, 9, (16, 16, 3, 3)) / 4 + 0.125) for _ in range(8)
+    ]
+    path = tmp_path / "model.json"
+    write_model(Network(layers), (16, 8, 8), path)
+    size = path.stat().st_size
+    tracemalloc.start()
+    try:
+        net, _ = read_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(np.array_equal(a.weights, b.weights) for a, b in zip(layers, net.layers))
+    assert peak < 3 * size, f"read_model peak {peak / size:.2f}x the file size"
+
+
+def test_schema_version_is_a_json_integer(rng, small_report, tmp_path):
+    # true and 1.0 equal 1 in Python, and read as schema 1 if compared so
+    model, report = tmp_path / "m.json", tmp_path / "r.json"
+    write_model(rand_net(rng, [2, 3], k=3), (2, 4, 4), model)
+    write_report(small_report, report)
+    for path, read in [(model, read_model), (report, read_report)]:
+        good = json.loads(path.read_text())
+        for bad in [True, 1.0, "1", None]:
+            path.write_text(json.dumps(dict(good, schema_version=bad)))
+            with pytest.raises(ModelIOError, match="schema_version must be an integer"):
+                read(path)
 
 
 def test_model_file_layout(rng, tmp_path):
@@ -511,6 +547,10 @@ def test_read_report_diagnostics(small_report, tmp_path):
     path.write_text(json.dumps({"schema_version": 5}))
     with pytest.raises(SchemaError):
         read_report(path)
+    for bad in [True, 1.0]:
+        path.write_text(json.dumps({"schema_version": bad}))
+        with pytest.raises(ModelIOError, match="schema_version must be an integer"):
+            read_report(path)
     path.write_text(json.dumps({"schema_version": 1, "status": "reached"}))
     with pytest.raises(ModelIOError, match="malformed report"):
         read_report(path)

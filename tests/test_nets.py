@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from convprune import ConvLayer, DimensionError, Network, conv_forward, forward_all_layers
 from convprune.nets import apply_activation, check_dataset, conv_forward_linear
 
-from conftest import naive_conv, rand_layer, rand_net
+from conftest import assert_one_weight_array, naive_conv, rand_layer, rand_net
 
 
 def test_delta_kernel_is_identity(rng):
@@ -106,6 +106,39 @@ def test_layer_copies_caller_arrays(rng):
     weights[...] = 0.0
     comp[...] = 0.0
     assert np.array_equal(conv_forward_linear(layer, x), before)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_layer_holds_one_weight_array(rng, k):
+    bank = rng.standard_normal((4, 3, k, k))
+    sources = {
+        "C": bank.copy(),
+        "F": np.asfortranarray(bank),
+        "transposed": bank.transpose(3, 2, 1, 0).copy().transpose(3, 2, 1, 0),
+        "int": np.arange(bank.size).reshape(bank.shape) - 7,
+    }
+    layer = ConvLayer(sources["C"])
+    sources["another layer's weights"] = layer.weights
+    sources["a pruned view"] = layer.weights[[0, 2, 3]]
+    x = rng.standard_normal((2, 3, 5, 6))
+    for name, source in sources.items():
+        built = ConvLayer(source)
+        assert_one_weight_array(built)
+        assert not built.weights.flags.writeable
+        assert not built.gemm_weights.flags.writeable
+        assert not np.shares_memory(built.weights, source), name
+        np.testing.assert_array_equal(built.weights, source)
+        # row (a*K + b)*m + i, column j holds weights[j, i, a, b]
+        n = source.shape[0]
+        want = np.asarray(source, dtype=np.float64).transpose(2, 3, 1, 0)
+        np.testing.assert_array_equal(built.gemm_weights, want.reshape(-1, n))
+        if k > 1:
+            # the GEMM matrix is always C-ordered, so the layout of the
+            # source does not reach the conv's bits
+            plain = ConvLayer(np.array(source, dtype=np.float64, order="C"))
+            assert np.array_equal(
+                conv_forward_linear(built, x), conv_forward_linear(plain, x)
+            ), name
 
 
 def test_comp_map_mixes_channels(rng):

@@ -45,6 +45,16 @@ def test_flatten_output_columns_are_filters(rng):
         np.testing.assert_array_equal(a[:, j], w[j].ravel())
 
 
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_flatten_equals_the_filter_bank_reshape(rng, k):
+    layer = ConvLayer(rng.standard_normal((5, 4, k, k)))
+    for source in (layer, ConvLayer(layer.weights[[4, 0, 2]])):
+        a = flatten_filters(source)
+        want = np.ascontiguousarray(source.weights.reshape(source.out_channels, -1).T)
+        assert a.flags.c_contiguous and a.tobytes() == want.tobytes()
+        assert not np.shares_memory(a, source.gemm_weights)
+
+
 def test_flatten_rejects_dead_filter(rng):
     w = rng.standard_normal((3, 2, 3, 3))
     w[1] = 0.0

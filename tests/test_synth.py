@@ -6,7 +6,7 @@ import pytest
 
 from convprune import flatten_filters, fp_backward, make_dataset, planted_network
 
-from conftest import residual_error
+from conftest import assert_one_weight_array, residual_error
 
 
 def test_planted_filters_are_exact_combos():
@@ -61,6 +61,8 @@ def test_planted_network_is_seeded():
 
 def test_planted_network_shapes_and_channels():
     net, _ = planted_network(3, 6, 3, 0.5, seed=0)
+    for layer in net.layers:
+        assert_one_weight_array(layer)
     assert net.in_channels == 6
     assert all(layer.out_channels == 6 for layer in net.layers)
     assert all(layer.kernel_size == 3 for layer in net.layers)
