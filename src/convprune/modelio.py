@@ -1,12 +1,17 @@
 """On-disk formats: models (structured text), tensors (binary), prune reports.
 
-Models are JSON with flat row-major weight lists, so they stay readable and
-diffable; floats round-trip exactly through repr.  The writer streams each
-weight and comp array to the file in bounded chunks, so it never holds a
-Python float per weight, and the bytes are exactly those of one
-json.dump(doc, sort_keys=True, indent=1) of the whole model.  The reader
-turns each array into a float64 array as soon as the parser has built its
-JSON object, so the Python floats of at most one array exist at a time.
+Models are JSON, so their metadata stays readable and diffable.  Schema 2
+stores each weight and comp array as a flat row-major list of integers on
+one line: the little-endian bit pattern of each float64 value read as an
+int64, so every value round-trips exactly and no float is formatted or
+parsed as text.  A reader whose JSON numbers are doubles (JavaScript's, for
+one) must parse these values as 64-bit integers.  The writer streams each
+array to the file in bounded chunks, so it never holds a Python int per
+weight; everything else is one json.dumps(doc, sort_keys=True, indent=1) of
+the model.  The reader turns each array into an int64 array (a list of
+integers) or a float64 array (any float among them) as soon as the parser
+has built its JSON object, so the Python numbers of at most one array exist
+at a time.  It also reads schema 1, where the arrays are lists of floats.
 Tensors use a small binary container: magic "PKT1", little-endian u32 rank,
 u32 dims, then the float64 payload in row-major order.  Reports echo the run
 configuration, every committed round, and the per-round heatmap table as
@@ -29,12 +34,12 @@ from .metrics import ModelStats, count_stats, reduction_report
 from .nets import ConvLayer, DimensionError, Network
 from .search import PruneConfig, PruneResult, PruneRound
 
-MODEL_SCHEMA_VERSION = 1
+MODEL_SCHEMA_VERSION = 2
 REPORT_SCHEMA_VERSION = 1
 TENSOR_MAGIC = b"PKT1"
 _U32_MAX = 2**32 - 1
 # write_model streams every array _CHUNK values at a time.  In the document
-# json formats, an array is a one-string list: _ARRAY_SLOT and its index.
+# json formats, an array is a string: _ARRAY_SLOT and its index.
 _CHUNK = 4096
 _ARRAY_SLOT = "\0array"
 _SLOT_TEXT = re.compile(r'"\\u0000array(\d+)"')
@@ -59,11 +64,11 @@ class TensorFormatError(ModelIOError):
 def _layer_to_json(layer: ConvLayer, arrays: list[np.ndarray]) -> dict:
     """A layer entry in which each array is a slot string (see write_model)."""
 
-    def slot(arr: np.ndarray, what: str) -> list[str]:
+    def slot(arr: np.ndarray, what: str) -> str:
         if not np.all(np.isfinite(arr)):
             raise ModelIOError(f"layer {what} contains non-finite values")
         arrays.append(arr)
-        return [f"{_ARRAY_SLOT}{len(arrays) - 1}"]
+        return f"{_ARRAY_SLOT}{len(arrays) - 1}"
 
     entry = {
         "in_channels": layer.in_channels,
@@ -81,30 +86,44 @@ def _layer_to_json(layer: ConvLayer, arrays: list[np.ndarray]) -> dict:
     return entry
 
 
-def _write_floats(fh, arr: np.ndarray, sep: str) -> None:
-    """arr's values in row-major order, as json.dump writes a list of floats.
+def _write_bits(fh, arr: np.ndarray) -> None:
+    """arr's values in row-major order, as the one-line JSON list of their
+    int64 bit patterns that json.dumps(ints, separators=(",", ":")) writes.
 
-    Only _CHUNK Python floats exist at a time.
+    Only _CHUNK Python ints exist at a time.
     """
+    fh.write("[")
     for start in range(0, arr.size, _CHUNK):
         if start:
-            fh.write(sep)
-        fh.write(sep.join(map(repr, arr.flat[start : start + _CHUNK].tolist())))
+            fh.write(",")
+        chunk = np.ascontiguousarray(arr.flat[start : start + _CHUNK], dtype="<f8")
+        # json's C encoder formats ints faster than a str() per value
+        fh.write(json.dumps(chunk.view("<i8").tolist(), separators=(",", ":"))[1:-1])
+    fh.write("]")
 
 
 def _arrays_hook(obj: dict) -> dict:
     """json object_hook: a layer's weights and a comp map's data list, as a
-    flat float64 array if every value is a JSON number.
+    flat int64 array if every value is a JSON integer within int64, else as
+    a flat float64 array if every value is a JSON number.
 
-    It runs as soon as each object has been parsed, so the Python floats of
-    one array are freed before the next array is parsed.  A list it cannot
-    convert stays a list, for _float_array to reject.
+    It runs as soon as each object has been parsed, so the Python numbers
+    of one array are freed before the next array is parsed.  A list it
+    cannot convert stays a list, for _float_array to reject.
     """
     for key in ("weights", "data"):
         values = obj.get(key)
+        if type(values) is not list:
+            continue
         # the value types, checked in C with no bytecode per value: the
         # dtype NumPy infers for [0.5, true] is float64, which hides the bool
-        if type(values) is list and {float, int}.issuperset(map(type, values)):
+        if {int}.issuperset(map(type, values)):
+            try:
+                obj[key] = np.asarray(values, dtype=np.int64)
+                continue
+            except OverflowError:  # an int beyond int64
+                pass
+        if {float, int}.issuperset(map(type, values)):
             try:
                 obj[key] = np.asarray(values, dtype=np.float64)
             except OverflowError:  # an int beyond float64
@@ -112,15 +131,23 @@ def _arrays_hook(obj: dict) -> dict:
     return obj
 
 
-def _float_array(values, shape: tuple[int, ...], what: str) -> np.ndarray:
+def _float_array(values, shape: tuple[int, ...], what: str, schema: int) -> np.ndarray:
     """A flat array from _arrays_hook, checked and given its shape.
 
-    Anything else was a list holding a value that is not a JSON number
-    (an error, as in the shape fields, although NumPy would convert a
-    numeric string or a bool), or no list at all.
+    Schema 2 takes only an int64 array and reads it as bit patterns; schema
+    1 takes either array and converts its values.  Anything else was a list
+    holding a value that is not a JSON number (an error, as in the shape
+    fields, although NumPy would convert a numeric string or a bool), or no
+    list at all.
     """
     if not isinstance(values, np.ndarray):
         raise ModelIOError(f"{what} is not a flat list of numbers")
+    if schema == 1:
+        values = values.astype(np.float64, copy=False)
+    elif values.dtype != np.int64:
+        raise ModelIOError(f"{what} holds a value that is not an int64 bit pattern")
+    else:
+        values = values.view(np.float64)
     expected = math.prod(shape)
     if values.size != expected:
         raise ModelIOError(f"{what} holds {values.size} values, expected {expected}")
@@ -137,24 +164,27 @@ def _int_field(value, what: str) -> int:
     return int(value)
 
 
-def _check_schema(value, supported: int, kind: str) -> None:
+def _check_schema(value, supported: tuple[int, ...], kind: str) -> int:
     """A schema_version is a JSON integer (true and 1.0 equal 1 in Python)."""
-    if _int_field(value, "schema_version") != supported:
-        raise SchemaError(f"{kind} schema {value} unsupported (expected {supported})")
+    version = _int_field(value, "schema_version")
+    if version not in supported:
+        expected = " or ".join(map(str, supported))
+        raise SchemaError(f"{kind} schema {value} unsupported (expected {expected})")
+    return version
 
 
-def _layer_from_json(entry: dict, index: int) -> ConvLayer:
+def _layer_from_json(entry: dict, index: int, schema: int) -> ConvLayer:
     try:
         n = _int_field(entry["out_channels"], "out_channels")
         m = _int_field(entry["in_channels"], "in_channels")
         k = _int_field(entry["kernel_size"], "kernel_size")
         activation = entry["activation"]
-        weights = _float_array(entry["weights"], (n, m, k, k), "weight list")
+        weights = _float_array(entry["weights"], (n, m, k, k), "weight list", schema)
         comp_entry = entry.get("comp")
         comp = None
         if comp_entry is not None:
             rows, cols = (_int_field(v, "comp shape entry") for v in comp_entry["shape"])
-            comp = _float_array(comp_entry["data"], (rows, cols), "comp map")
+            comp = _float_array(comp_entry["data"], (rows, cols), "comp map", schema)
         return ConvLayer(weights=weights, comp=comp, activation=activation)
     except ModelIOError as exc:
         raise ModelIOError(f"layer {index}: {exc}") from None
@@ -181,32 +211,40 @@ def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
         "input_shape": [m0, h, w],
         "layers": [_layer_to_json(layer, arrays) for layer in net.layers],
     }
-    # json formats everything but the arrays; each slot's values go where
-    # json put its string, one per line at the indent json gave that string
+    # json formats everything but the arrays; each slot's list goes where
+    # json put its string
     pieces = _SLOT_TEXT.split(json.dumps(doc, sort_keys=True, indent=1))
     with open(path, "w", encoding="utf-8") as fh:
         for text, index in zip(pieces[::2], pieces[1::2]):
             fh.write(text)
-            _write_floats(fh, arrays[int(index)], "," + text[text.rindex("\n") :])
+            _write_bits(fh, arrays[int(index)])
         fh.write(pieces[-1] + "\n")
 
 
-def read_model(path) -> tuple[Network, tuple[int, int, int]]:
+def _load_json(path, kind: str, object_hook=None):
+    """The parsed file; text that is not JSON, not UTF-8, or nested too
+    deeply for the parser is a ModelIOError."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh, object_hook=_arrays_hook)
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(f"not a model file: {exc}") from None
+            return json.load(fh, object_hook=object_hook)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ModelIOError(f"not a {kind} file: {exc}") from None
+
+
+def read_model(path) -> tuple[Network, tuple[int, int, int]]:
+    doc = _load_json(path, "model", object_hook=_arrays_hook)
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a model file: no schema_version")
-    _check_schema(doc["schema_version"], MODEL_SCHEMA_VERSION, "model")
+    schema = _check_schema(doc["schema_version"], (1, MODEL_SCHEMA_VERSION), "model")
     try:
         shape = tuple(_int_field(v, "input_shape entry") for v in doc["input_shape"])
         entries = doc["layers"]
     except (KeyError, TypeError, ValueError) as exc:
         raise ModelIOError(f"malformed model file: {exc}") from None
     _check_input_shape(shape)
-    layers = [_layer_from_json(entry, i) for i, entry in enumerate(entries)]
+    if not isinstance(entries, list):
+        raise ModelIOError(f"malformed model file: layers must be a list, got {type(entries).__name__}")
+    layers = [_layer_from_json(entry, i, schema) for i, entry in enumerate(entries)]
     try:
         net = Network(layers)
     except DimensionError as exc:
@@ -386,14 +424,10 @@ def write_report(report: PruneReport, path) -> None:
 
 
 def read_report(path) -> PruneReport:
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ModelIOError(f"not a report file: {exc}") from None
+    doc = _load_json(path, "report")
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a report file: no schema_version")
-    _check_schema(doc["schema_version"], REPORT_SCHEMA_VERSION, "report")
+    _check_schema(doc["schema_version"], (REPORT_SCHEMA_VERSION,), "report")
     try:
         return PruneReport(
             config=doc["config"],
@@ -404,5 +438,6 @@ def read_report(path) -> PruneReport:
             param_drop_pct=float(doc["param_drop_pct"]),
             flops_drop_pct=float(doc["flops_drop_pct"]),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    # OverflowError: an integer beyond float64 where a float belongs
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise ModelIOError(f"malformed report file: {exc}") from None

@@ -230,6 +230,22 @@ def test_file_errors_exit_2(workspace, capsys):
     assert not (tmp_path / "o.json").exists() and not report.exists()
     assert run("eval", "--model", str(model), "--data", str(data),
                "--reference-model", str(tmp_path / "ghost.json")) == 2
+    # text the JSON parser cannot read, and a layers field that is no list
+    doc = json.loads(model.read_text())
+    for blob in [
+        b"\xff\xfe{}",  # not UTF-8
+        b"[" * 200_000,  # deeper than the parser recurses
+        json.dumps(dict(doc, layers=5)).encode(),
+        json.dumps(dict(doc, layers=float("nan"))).encode(),
+    ]:
+        broken.write_bytes(blob)
+        assert run("eval", "--model", str(broken), "--data", str(data)) == 2
+    # a float among the int64 bit patterns, as adding to a weight through a
+    # JSON tool writes it
+    doc["layers"][0]["weights"][0] += 1e-3
+    broken.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    assert run("eval", "--model", str(broken), "--data", str(data)) == 2
+    assert "not an int64 bit pattern" in capsys.readouterr().err
     # calibration data must be finite, as model weights must
     for bad in [np.nan, np.inf]:
         tensor = read_tensor(data)

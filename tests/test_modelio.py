@@ -1,7 +1,7 @@
 """File formats: model JSON, binary tensors, prune reports."""
 from __future__ import annotations
 
-import io
+import hashlib
 import json
 import math
 import struct
@@ -41,7 +41,18 @@ from conftest import assert_one_weight_array, rand_net
 # ------------------------------------------------------------------- models
 
 
+EXTREMES = [
+    -0.0,
+    5e-324,  # the smallest subnormal
+    np.finfo(np.float64).smallest_normal,
+    np.finfo(np.float64).max,
+    1e-5,
+    1e300,
+]
+
+
 def test_model_roundtrip_is_exact(rng, tmp_path):
+    extremes = np.array(EXTREMES + [-v for v in EXTREMES])
     net = Network(
         [
             ConvLayer(rng.standard_normal((5, 2, 3, 3)), activation="relu"),
@@ -51,13 +62,21 @@ def test_model_roundtrip_is_exact(rng, tmp_path):
                 activation="identity",
             ),
             ConvLayer(rng.standard_normal((3, 6, 2, 2)), activation="relu"),
+            ConvLayer(extremes.reshape(4, 3, 1, 1), comp=extremes.reshape(4, 3)),
         ]
     )
     path = tmp_path / "model.json"
     write_model(net, (2, 8, 9), path)
+    # the bit patterns, read as int64
+    assert json.loads(path.read_text())["layers"][3]["weights"][:4] == [
+        -(2**63),  # -0.0: the sign bit alone
+        1,
+        2**52,
+        2**63 - 2**52 - 1,
+    ]
     back, shape = read_model(path)
     assert shape == (2, 8, 9)
-    assert len(back) == 3
+    assert len(back) == 4
     for a, b in zip(net.layers, back.layers):
         assert a.weights.tobytes() == b.weights.tobytes()
         assert_one_weight_array(b)
@@ -109,14 +128,22 @@ def test_model_file_layout(rng, tmp_path):
     text = path.read_text()
     assert text.endswith("\n")
     doc = json.loads(text)
-    assert doc["schema_version"] == 1
+    assert doc["schema_version"] == 2
     assert doc["input_shape"] == [2, 4, 4]
     layer = doc["layers"][0]
     assert layer["out_channels"] == 3
     assert layer["in_channels"] == 2
     assert layer["kernel_size"] == 2
     assert layer["comp"] is None
-    assert len(layer["weights"]) == 3 * 2 * 4
+    # each weight is the int64 read of its float64 bits, in row-major order
+    assert all(type(v) is int for v in layer["weights"])
+    assert layer["weights"] == net.layers[0].weights.ravel().view(np.int64).tolist()
+    # one line per array, inside the indent=1 document
+    lines = [line for line in text.splitlines() if '"weights"' in line]
+    assert lines == [
+        '   "weights": ' + json.dumps(entry["weights"], separators=(",", ":"))
+        for entry in doc["layers"]
+    ]
     # deterministic encoder
     path2 = tmp_path / "again.json"
     write_model(net, (2, 4, 4), path2)
@@ -154,22 +181,60 @@ def test_write_model_validates(rng, tmp_path):
 
 
 FIXTURE = Path(__file__).parent / "data" / "schema1_pruned.json"
+# sha256 of the fixture's weight and comp arrays, layer by layer, as
+# little-endian float64 bytes
+FIXTURE_BITS = "dc9b52ed7f7fe0eaea1898879aa7befdf3713e53e94c83146b97846d007299af"
 
 
-def test_schema1_fixture_rewrites_byte_for_byte(tmp_path):
-    """A pruned model with comp maps, written by the json.dump writer."""
+def array_bits(net: Network) -> str:
+    h = hashlib.sha256()
+    for layer in net.layers:
+        h.update(layer.weights.astype("<f8").tobytes())
+        if layer.comp is not None:
+            h.update(layer.comp.astype("<f8").tobytes())
+    return h.hexdigest()
+
+
+def test_schema1_fixture_reads_to_pinned_bits():
+    """A pruned model with comp maps, written by the schema-1 float writer."""
     net, shape = read_model(FIXTURE)
+    assert shape == (4, 8, 8)
     assert [layer.comp is None for layer in net.layers] == [False, False, True]
     assert net.layers[0].comp.shape[0] < net.layers[0].comp.shape[1]
+    assert array_bits(net) == FIXTURE_BITS
+    # the values are those of the file's float text
+    doc = json.loads(FIXTURE.read_text())
+    assert doc["schema_version"] == 1
+    for entry, layer in zip(doc["layers"], net.layers):
+        assert np.array(entry["weights"]).tobytes() == layer.weights.tobytes()
+
+
+def test_schema1_fixture_rewrite_reads_back_bit_identical(tmp_path):
+    net, shape = read_model(FIXTURE)
     path = tmp_path / "again.json"
     write_model(net, shape, path)
-    assert path.read_bytes() == FIXTURE.read_bytes()
+    assert json.loads(path.read_text())["schema_version"] == 2
+    back, back_shape = read_model(path)
+    assert back_shape == shape
+    assert array_bits(back) == FIXTURE_BITS
+    assert [layer.activation for layer in back.layers] == [
+        layer.activation for layer in net.layers
+    ]
 
 
 def reference_model_text(net: Network, input_shape) -> str:
-    """The model file as one json.dump of the whole document writes it."""
+    """The model file as json.dumps(doc, sort_keys=True, indent=1) writes
+    it, with each array as json.dumps(bits, separators=(",", ":"))."""
+    arrays = {}
+
+    def slot(arr: np.ndarray) -> str:
+        name = f"array {len(arrays)}"
+        bits = np.ascontiguousarray(arr, dtype="<f8").view("<i8").ravel().tolist()
+        arrays[json.dumps(name)] = json.dumps(bits, separators=(",", ":"))
+        return name
+
     doc = {
-        "schema_version": 1,
+        "schema_version": 2,
         "input_shape": list(input_shape),
         "layers": [
             {
@@ -177,17 +242,19 @@ def reference_model_text(net: Network, input_shape) -> str:
                 "out_channels": layer.out_channels,
                 "kernel_size": layer.kernel_size,
                 "activation": layer.activation,
-                "weights": layer.weights.ravel().tolist(),
+                "weights": slot(layer.weights),
                 "comp": None
                 if layer.comp is None
-                else {"shape": list(layer.comp.shape), "data": layer.comp.ravel().tolist()},
+                else {"shape": list(layer.comp.shape), "data": slot(layer.comp)},
             }
             for layer in net.layers
         ],
     }
-    out = io.StringIO()
-    json.dump(doc, out, sort_keys=True, indent=1)
-    return out.getvalue() + "\n"
+    text = json.dumps(doc, sort_keys=True, indent=1)
+    for name, array_text in arrays.items():
+        assert text.count(name) == 1
+        text = text.replace(name, array_text)
+    return text + "\n"
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -213,25 +280,87 @@ def test_write_model_matches_json_dump(rng, tmp_path, offset, with_comp):
     assert path.read_text(encoding="utf-8") == reference_model_text(net, (1, 5, 6))
 
 
-def test_read_model_diagnostics(rng, tmp_path):
+def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path):
+    net = Network([ConvLayer(rng.standard_normal((3, 2, 1, 1)), comp=np.eye(3))])
     path = tmp_path / "m.json"
-
-    path.write_text("not json at all {")
-    with pytest.raises(ModelIOError, match="not a model file"):
-        read_model(path)
-
-    path.write_text(json.dumps({"layers": []}))
-    with pytest.raises(ModelIOError, match="schema_version"):
-        read_model(path)
-
-    path.write_text(json.dumps({"schema_version": 99}))
-    with pytest.raises(SchemaError):
-        read_model(path)
-
-    net = rand_net(rng, [2, 3], k=3)
     write_model(net, (2, 4, 4), path)
-    doc = json.loads(path.read_text())
+    good = json.loads(path.read_text())
+    bits = good["layers"][0]["weights"]
+    inf_bits = 9218868437227405312  # 0x7FF0000000000000
+    assert np.array(inf_bits).view(np.float64) == np.inf
+    for field, value, message in [
+        # the benchmark self-test's tamper: a float among the integers
+        ("weights", [bits[0] + 1e-3] + bits[1:], "not an int64 bit pattern"),
+        ("weights", [2**63] + bits[1:], "not an int64 bit pattern"),
+        ("weights", [-(2**63) - 1] + bits[1:], "not an int64 bit pattern"),
+        ("weights", [0.5] * len(bits), "not an int64 bit pattern"),
+        ("weights", [True] + bits[1:], "not a flat list of numbers"),
+        ("weights", [inf_bits] + bits[1:], "non-finite"),
+        ("weights", [inf_bits - 2**63] + bits[1:], "non-finite"),  # -inf
+        ("weights", [inf_bits + 1] + bits[1:], "non-finite"),  # a NaN
+        ("weights", [-1] + bits[1:], "non-finite"),  # all bits set: a NaN
+        ("weights", bits[:-1], "holds 5 values, expected 6"),
+        ("weights", bits + [0], "holds 7 values, expected 6"),
+        ("data", [0.0] * 9, "not an int64 bit pattern"),
+        ("data", [inf_bits] * 9, "non-finite"),
+        ("data", [0] * 8, "holds 8 values, expected 9"),
+    ]:
+        doc = json.loads(json.dumps(good))
+        layer = doc["layers"][0]
+        (layer if field == "weights" else layer["comp"])[field] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match=f"layer 0: .*{message}"):
+            read_model(path)
+    # integers read as bit patterns, not as values
+    doc = json.loads(json.dumps(good))
+    doc["layers"][0]["comp"]["data"] = [0, 1, 2, 3, 4, 5, 6, 7, 8]
+    path.write_text(json.dumps(doc))
+    comp = read_model(path)[0].layers[0].comp
+    assert comp.ravel().view(np.int64).tolist() == list(range(9))
+    assert comp[0, 1] == 5e-324
 
+
+def test_schema1_reads_numbers_as_values(tmp_path):
+    """Schema 1 reads integers as the values they name, as floats do,
+    beyond int64 too; only the values' type and finiteness are checked."""
+    doc = {
+        "schema_version": 1,
+        "input_shape": [1, 3, 3],
+        "layers": [
+            {
+                "activation": "relu",
+                "comp": {"data": [1, 0, 2**64, 0.5], "shape": [2, 2]},
+                "in_channels": 1,
+                "kernel_size": 1,
+                "out_channels": 2,
+                "weights": [3, -(2**63)],
+            }
+        ],
+    }
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(doc))
+    layer = read_model(path)[0].layers[0]
+    assert layer.weights.ravel().tolist() == [3.0, -(2.0**63)]
+    assert layer.comp.tolist() == [[1.0, 0.0], [2.0**64, 0.5]]
+    doc["layers"][0]["weights"] = [3, 10**400]
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match="layer 0: .*not a flat list of numbers"):
+        read_model(path)
+
+
+# text json.load cannot parse: not UTF-8, or nested deeper than the
+# parser recurses
+UNREADABLE = [
+    b"\xff\xfe{}",
+    b'{"schema_version": 1, "name": "\xe9"}',
+    b"[" * 200_000,
+    b'{"a": ' * 200_000,
+]
+
+
+def check_layer_diagnostics(doc: dict, path: Path) -> None:
+    """Layer 0 of doc has 3 filters of 3x3 kernels, over 2 or more input
+    channels but not 3; each edit below must make read_model fail."""
     broken = json.loads(json.dumps(doc))
     broken["layers"][0]["weights"] = broken["layers"][0]["weights"][:-1]
     path.write_text(json.dumps(broken))
@@ -283,7 +412,7 @@ def test_read_model_diagnostics(rng, tmp_path):
     # count and parse "3", so these read back as a valid model if coerced
     for field, value in [
         ("out_channels", 3.9),
-        ("in_channels", 2.0),
+        ("in_channels", float(doc["layers"][0]["in_channels"])),
         ("kernel_size", "3"),
         ("comp", {"shape": [3, "3"], "data": [1.0] * 9}),
         ("comp", {"shape": [3.0, 3], "data": [1.0] * 9}),
@@ -323,6 +452,38 @@ def test_read_model_diagnostics(rng, tmp_path):
         with pytest.raises(ModelIOError, match="layer 0: .*not a flat list of numbers"):
             read_model(path)
 
+
+def test_read_model_diagnostics(rng, tmp_path):
+    path = tmp_path / "m.json"
+
+    path.write_text("not json at all {")
+    with pytest.raises(ModelIOError, match="not a model file"):
+        read_model(path)
+    for blob in UNREADABLE:
+        path.write_bytes(blob)
+        with pytest.raises(ModelIOError, match="not a model file"):
+            read_model(path)
+
+    path.write_text(json.dumps({"layers": []}))
+    with pytest.raises(ModelIOError, match="schema_version"):
+        read_model(path)
+
+    for version in [0, 3, 99]:
+        path.write_text(json.dumps({"schema_version": version}))
+        with pytest.raises(SchemaError, match="expected 1 or 2"):
+            read_model(path)
+
+    net = rand_net(rng, [2, 3], k=3)
+    write_model(net, (2, 4, 4), path)
+    doc = json.loads(path.read_text())
+    check_layer_diagnostics(doc, path)
+
+    # JSON's NaN parses to a float, which enumerate would reject uncaught
+    for layers in [5, float("nan"), None, "abc", {}]:
+        path.write_text(json.dumps(dict(doc, layers=layers)))
+        with pytest.raises(ModelIOError, match="layers must be a list"):
+            read_model(path)
+
     # bool is an int subclass in Python, and True would pass for a 1
     one = Network([ConvLayer(rng.standard_normal((1, 1, 1, 1)))])
     write_model(one, (1, 4, 4), path)
@@ -338,6 +499,11 @@ def test_read_model_diagnostics(rng, tmp_path):
     path.write_text(json.dumps(broken))
     with pytest.raises(ModelIOError, match="must be an integer"):
         read_model(path)
+
+
+def test_read_model_diagnostics_on_schema1(tmp_path):
+    """The float path of schema 1, on the checked-in fixture."""
+    check_layer_diagnostics(json.loads(FIXTURE.read_text()), tmp_path / "m.json")
 
 
 def test_read_model_rejects_broken_chain(rng, tmp_path):
@@ -544,6 +710,10 @@ def test_read_report_diagnostics(small_report, tmp_path):
     path.write_text("[1, 2")
     with pytest.raises(ModelIOError, match="not a report file"):
         read_report(path)
+    for blob in UNREADABLE:
+        path.write_bytes(blob)
+        with pytest.raises(ModelIOError, match="not a report file"):
+            read_report(path)
     path.write_text(json.dumps({"schema_version": 5}))
     with pytest.raises(SchemaError):
         read_report(path)
@@ -568,6 +738,17 @@ def test_read_report_diagnostics(small_report, tmp_path):
             path.write_text(json.dumps(doc))
             with pytest.raises(ModelIOError, match=f"{field}.* must be an integer"):
                 read_report(path)
+    # float fields: an integer beyond float64 overflows float()
+    for edit in [
+        lambda d: d["rounds"][0].update(errors=[10**400] + d["rounds"][0]["errors"][1:]),
+        lambda d: d["rounds"][0].update(param_reduction=10**400),
+        lambda d: d.update(param_drop_pct=10**400),
+    ]:
+        doc = json.loads(json.dumps(good))
+        edit(doc)
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ModelIOError, match="malformed report file: int too large"):
+            read_report(path)
 
 
 # --------------------------------------------------------------------- fuzz
@@ -597,25 +778,35 @@ def test_tensor_roundtrip_fuzz(arr, tmp_path_factory):
     channels=st.lists(st.integers(1, 5), min_size=2, max_size=4),
     k=st.sampled_from([1, 2, 3]),
     with_comp=st.booleans(),
+    # any finite float64, subnormals and -0.0 included
+    specials=st.lists(st.floats(allow_nan=False, allow_infinity=False), max_size=6),
 )
-def test_model_roundtrip_fuzz(seed, channels, k, with_comp, tmp_path_factory):
+def test_model_roundtrip_fuzz(seed, channels, k, with_comp, specials, tmp_path_factory):
     rng = np.random.default_rng(seed)
     layers = []
     width_in = channels[0]
     for n in channels[1:]:
         comp = rng.standard_normal((n, n + 1)) if with_comp else None
+        weights = rng.standard_normal((n, width_in, k, k))
+        if not layers:
+            weights.flat[: len(specials)] = specials[: weights.size]
+            if comp is not None:
+                comp.flat[: len(specials)] = specials[::-1][: comp.size]
         layers.append(
-            ConvLayer(
-                rng.standard_normal((n, width_in, k, k)),
-                comp=comp,
-                activation="relu" if seed % 2 else "identity",
-            )
+            ConvLayer(weights, comp=comp, activation="relu" if seed % 2 else "identity")
         )
         width_in = n + 1 if with_comp else n
     net = Network(layers)
     path = tmp_path_factory.mktemp("fuzz") / "m.json"
     write_model(net, (channels[0], 4, 4), path)
+    doc = json.loads(path.read_text())
+    assert doc["schema_version"] == 2
     back, shape = read_model(path)
     assert shape == (channels[0], 4, 4)
-    for a, b in zip(net.layers, back.layers):
+    for a, b, entry in zip(net.layers, back.layers, doc["layers"]):
+        assert entry["weights"] == a.weights.ravel().view(np.int64).tolist()
         assert a.weights.tobytes() == b.weights.tobytes()
+        if a.comp is None:
+            assert b.comp is None
+        else:
+            assert a.comp.tobytes() == b.comp.tobytes()
