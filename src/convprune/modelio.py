@@ -8,10 +8,16 @@ parsed as text.  A reader whose JSON numbers are doubles (JavaScript's, for
 one) must parse these values as 64-bit integers.  The writer streams each
 array to the file in bounded chunks, so it never holds a Python int per
 weight; everything else is one json.dumps(doc, sort_keys=True, indent=1) of
-the model.  The reader turns each array into an int64 array (a list of
-integers) or a float64 array (any float among them) as soon as the parser
-has built its JSON object, so the Python numbers of at most one array exist
-at a time.  It also reads schema 1, where the arrays are lists of floats.
+the model.  The reader holds the file's bytes and parses each array that is
+exactly in that one-line layout with one np.fromstring call, so it makes no
+Python number for it; json parses the rest of the file, with a slot string
+in each such array's place.  Any other array (schema 1's lists of floats, a
+re-indented or spaced list, "-0" or a leading zero, an int beyond int64 or
+at its limits, every array of a file with a backslash) is parsed by json
+and turned into an int64 array (a list of integers) or a float64 array (any
+float among them) as soon as json has built its object, so the Python
+numbers of at most one array exist at a time.  Both paths accept the same
+files, with the same values and the same errors.
 Tensors use a small binary container: magic "PKT1", little-endian u32 rank,
 u32 dims, then the float64 payload in row-major order.  Reports echo the run
 configuration, every committed round, and the per-round heatmap table as
@@ -21,11 +27,13 @@ identical runs produce byte-identical files.
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import math
 import numbers
 import re
 import struct
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +51,13 @@ _U32_MAX = 2**32 - 1
 _CHUNK = 4096
 _ARRAY_SLOT = "\0array"
 _SLOT_TEXT = re.compile(r'"\\u0000array(\d+)"')
+# read_model puts a slot, as json.dumps writes it, in place of each array it
+# parses itself, and checks an array's characters _TEXT_CHUNK bytes at a time
+_SLOT_JSON = b'"\\u0000array%d"'
+_TEXT_CHUNK = 2**20
+# 10 ... 10**18: a nonzero int64 magnitude has 1 + (how many are <= it) digits
+_POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
+_INT64 = np.iinfo(np.int64)
 
 
 class ModelIOError(ValueError):
@@ -129,6 +144,82 @@ def _arrays_hook(obj: dict) -> dict:
             except OverflowError:  # an int beyond float64
                 pass
     return obj
+
+
+def _parse_bits(raw: bytes, start: int, end: int) -> np.ndarray | None:
+    """The int64 values whose ",".join(map(str, values)) is raw[start:end],
+    as _write_bits writes them between the brackets; None for other text.
+
+    np.fromstring parses them in one call.  It also reads other text: a
+    leading zero, "-0", a bare "-" (as 0), a trailing comma, an int beyond
+    int64 (as an int64 limit), and text it stops reading before its end.
+    So the text must hold only digits, commas and minus signs, no value may
+    be a limit, and the text must be as long as the values' canonical text:
+    what fromstring reads as any other value is longer than the value's
+    text, and what it does not read is left over.  A bare "-" is as long
+    as "0", and is ruled out on its own.
+    """
+    # the characters, a slice of _TEXT_CHUNK bytes at a time: translate
+    # makes a result as long as its input before it shrinks it
+    if any(
+        raw[i : min(i + _TEXT_CHUNK, end)].translate(None, b"0123456789,-")
+        for i in range(start, end, _TEXT_CHUNK)
+    ):
+        return None
+    text = raw[start:end]
+    with warnings.catch_warnings():
+        # text that fromstring cannot read to its end raises in current
+        # NumPy; older NumPy warns and returns the values before it
+        warnings.simplefilter("ignore", DeprecationWarning)
+        try:
+            values = np.fromstring(text, dtype=np.int64, sep=",")
+        except ValueError:
+            return None
+    if values.size == 0 or values.min() == _INT64.min or values.max() == _INT64.max:
+        return None
+    # the commas and minus signs, then the digits, _CHUNK values at a time
+    length = values.size - 1 + np.count_nonzero(values < 0)
+    for i in range(0, values.size, _CHUNK):
+        magnitudes = np.abs(values[i : i + _CHUNK])
+        length += magnitudes.size + np.searchsorted(_POWERS_OF_10, magnitudes, "right").sum()
+    if length != len(text):
+        return None
+    if not values.all() and (b"-," in text or text.endswith(b"-")):
+        return None
+    return values
+
+
+def _slot_arrays(raw: bytes) -> tuple[bytes, list[np.ndarray]]:
+    """raw with each "weights" and "data" array that _parse_bits reads
+    replaced by a slot string, and those arrays in slot order.
+
+    Nothing is replaced in a file that holds a backslash.  Without one,
+    every quote delimits a string, and no string of the file can equal a
+    slot, which is written with an escape.  An array found after its key
+    and colon is then a value wherever json reads on to it, so json accepts
+    the skeleton exactly when it accepts raw, and gives the same objects
+    but for a slot in place of each replaced array.
+    """
+    if b"\\" in raw:
+        return raw, []
+    pieces, arrays = [], []
+    done = 0
+    at = raw.find(b": [")
+    while at >= 0:
+        start = at + 2  # the array's "["
+        end = -1
+        if raw.endswith((b'"weights"', b'"data"'), 0, at):
+            end = raw.find(b"]", start)
+        values = _parse_bits(raw, start + 1, end) if end > start else None
+        if values is not None:
+            pieces += [raw[done:start], _SLOT_JSON % len(arrays)]
+            arrays.append(values)
+            done = end + 1
+        at = raw.find(b": [", max(done, start + 1))
+    if not arrays:
+        return raw, []
+    pieces.append(raw[done:])
+    return b"".join(pieces), arrays
 
 
 def _float_array(values, shape: tuple[int, ...], what: str, schema: int) -> np.ndarray:
@@ -221,18 +312,46 @@ def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
         fh.write(pieces[-1] + "\n")
 
 
-def _load_json(path, kind: str, object_hook=None):
-    """The parsed file; text that is not JSON, not UTF-8, or nested too
-    deeply for the parser is a ModelIOError."""
+def _parse_json(raw: bytes, kind: str, object_hook=None):
+    """raw parsed as json.load parses the file opened as UTF-8 text; text
+    that is not JSON, not UTF-8, or nested too deeply for the parser is a
+    ModelIOError."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8") as fh:
             return json.load(fh, object_hook=object_hook)
     except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise ModelIOError(f"not a {kind} file: {exc}") from None
 
 
+def _read_bytes(path) -> bytes:
+    with open(path, "rb") as fh:
+        return fh.read()
+
+
+def _load_model(raw: bytes):
+    """The parsed model file, with its "weights" and "data" arrays made by
+    _slot_arrays or _arrays_hook."""
+    skeleton, arrays = _slot_arrays(raw)
+    if arrays:
+
+        def hook(obj: dict) -> dict:
+            for key in ("weights", "data"):
+                value = obj.get(key)
+                if type(value) is str and value.startswith(_ARRAY_SLOT):
+                    obj[key] = arrays[int(value[len(_ARRAY_SLOT) :])]
+            return _arrays_hook(obj)
+
+        try:
+            return json.loads(skeleton.decode("utf-8"), object_hook=hook)
+        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+            # the file is not UTF-8 JSON: json reports it below with the
+            # file's positions, not the skeleton's
+            pass
+    return _parse_json(raw, "model", object_hook=_arrays_hook)
+
+
 def read_model(path) -> tuple[Network, tuple[int, int, int]]:
-    doc = _load_json(path, "model", object_hook=_arrays_hook)
+    doc = _load_model(_read_bytes(path))
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a model file: no schema_version")
     schema = _check_schema(doc["schema_version"], (1, MODEL_SCHEMA_VERSION), "model")
@@ -424,7 +543,7 @@ def write_report(report: PruneReport, path) -> None:
 
 
 def read_report(path) -> PruneReport:
-    doc = _load_json(path, "report")
+    doc = _parse_json(_read_bytes(path), "report")
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a report file: no schema_version")
     _check_schema(doc["schema_version"], (REPORT_SCHEMA_VERSION,), "report")

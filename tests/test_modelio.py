@@ -4,8 +4,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -222,16 +224,36 @@ def test_schema1_fixture_rewrite_reads_back_bit_identical(tmp_path):
     ]
 
 
+def one_line_text(doc: dict) -> str:
+    """doc as write_model lays a model out: json.dumps(doc, sort_keys=True,
+    indent=1), with each layer's weights and comp data list written by
+    json.dumps(values, separators=(",", ":")) on one line."""
+    arrays = {}
+
+    def slot(values: list) -> str:
+        name = f"array {len(arrays)}"
+        arrays[json.dumps(name)] = json.dumps(values, separators=(",", ":"))
+        return name
+
+    layers = []
+    for entry in doc["layers"]:
+        entry = dict(entry, weights=slot(entry["weights"]))
+        if entry["comp"] is not None:
+            entry["comp"] = dict(entry["comp"], data=slot(entry["comp"]["data"]))
+        layers.append(entry)
+    text = json.dumps(dict(doc, layers=layers), sort_keys=True, indent=1)
+    for name, array_text in arrays.items():
+        assert text.count(name) == 1
+        text = text.replace(name, array_text)
+    return text + "\n"
+
+
 def reference_model_text(net: Network, input_shape) -> str:
     """The model file as json.dumps(doc, sort_keys=True, indent=1) writes
     it, with each array as json.dumps(bits, separators=(",", ":"))."""
-    arrays = {}
 
-    def slot(arr: np.ndarray) -> str:
-        name = f"array {len(arrays)}"
-        bits = np.ascontiguousarray(arr, dtype="<f8").view("<i8").ravel().tolist()
-        arrays[json.dumps(name)] = json.dumps(bits, separators=(",", ":"))
-        return name
+    def bits(arr: np.ndarray) -> list[int]:
+        return np.ascontiguousarray(arr, dtype="<f8").view("<i8").ravel().tolist()
 
     doc = {
         "schema_version": 2,
@@ -242,19 +264,15 @@ def reference_model_text(net: Network, input_shape) -> str:
                 "out_channels": layer.out_channels,
                 "kernel_size": layer.kernel_size,
                 "activation": layer.activation,
-                "weights": slot(layer.weights),
+                "weights": bits(layer.weights),
                 "comp": None
                 if layer.comp is None
-                else {"shape": list(layer.comp.shape), "data": slot(layer.comp)},
+                else {"shape": list(layer.comp.shape), "data": bits(layer.comp)},
             }
             for layer in net.layers
         ],
     }
-    text = json.dumps(doc, sort_keys=True, indent=1)
-    for name, array_text in arrays.items():
-        assert text.count(name) == 1
-        text = text.replace(name, array_text)
-    return text + "\n"
+    return one_line_text(doc)
 
 
 @pytest.mark.parametrize("offset", [-1, 0, 1])
@@ -280,11 +298,19 @@ def test_write_model_matches_json_dump(rng, tmp_path, offset, with_comp):
     assert path.read_text(encoding="utf-8") == reference_model_text(net, (1, 5, 6))
 
 
-def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path):
+# a model document as json.dumps writes it by default, with ", " between
+# values, and in write_model's layout, where read_model parses an array of
+# integers with NumPy
+LAYOUTS = {"spaced": json.dumps, "one-line": one_line_text}
+
+
+@pytest.mark.parametrize("layout", LAYOUTS)
+def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path, layout):
     net = Network([ConvLayer(rng.standard_normal((3, 2, 1, 1)), comp=np.eye(3))])
     path = tmp_path / "m.json"
     write_model(net, (2, 4, 4), path)
     good = json.loads(path.read_text())
+    dump = LAYOUTS[layout]
     bits = good["layers"][0]["weights"]
     inf_bits = 9218868437227405312  # 0x7FF0000000000000
     assert np.array(inf_bits).view(np.float64) == np.inf
@@ -308,16 +334,218 @@ def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path):
         doc = json.loads(json.dumps(good))
         layer = doc["layers"][0]
         (layer if field == "weights" else layer["comp"])[field] = value
-        path.write_text(json.dumps(doc))
+        path.write_text(dump(doc))
+        # in write_model's layout, NumPy parses the array left unchanged
+        assert bool(modelio._slot_arrays(path.read_bytes())[1]) == (layout == "one-line")
         with pytest.raises(ModelIOError, match=f"layer 0: .*{message}"):
             read_model(path)
     # integers read as bit patterns, not as values
     doc = json.loads(json.dumps(good))
     doc["layers"][0]["comp"]["data"] = [0, 1, 2, 3, 4, 5, 6, 7, 8]
-    path.write_text(json.dumps(doc))
+    path.write_text(dump(doc))
     comp = read_model(path)[0].layers[0].comp
     assert comp.ravel().view(np.int64).tolist() == list(range(9))
     assert comp[0, 1] == 5e-324
+
+
+def reference_model_doc(path: Path):
+    """The model document as plain json reads the file, opened as UTF-8
+    text, with each weights and data list made an int64 array if it holds
+    only integers within int64, else a float64 array if it holds only
+    numbers within float64: read_model's parse before NumPy read arrays."""
+
+    def convert(obj: dict) -> dict:
+        for key in ("weights", "data"):
+            values = obj.get(key)
+            if type(values) is not list:
+                continue
+            if all(type(v) is int and -(2**63) <= v < 2**63 for v in values):
+                obj[key] = np.array(values, dtype=np.int64)
+            elif all(type(v) in (int, float) for v in values):
+                try:
+                    obj[key] = np.array([float(v) for v in values])
+                except OverflowError:
+                    pass
+        return obj
+
+    try:
+        return json.loads(path.read_text(encoding="utf-8"), object_hook=convert)
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+        raise ModelIOError(f"not a model file: {exc}") from None
+
+
+def model_outcome(path: Path):
+    """What read_model gives: the shape and every array's bytes, or the
+    error and its message."""
+    try:
+        net, shape = read_model(path)
+    except ModelIOError as exc:
+        return type(exc).__name__, str(exc)
+    return shape, [
+        (layer.activation, layer.weights.tobytes(), layer.comp is None or layer.comp.tobytes())
+        for layer in net.layers
+    ]
+
+
+def reference_outcome(path: Path):
+    """model_outcome with the document parsed by reference_model_doc."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelio, "_load_model", lambda raw: reference_model_doc(path))
+        return model_outcome(path)
+
+
+def is_canonical(body: str) -> bool:
+    """body is ",".join(map(str, values)) of int64 values other than the
+    int64 limits, as json reads them."""
+    try:
+        values = json.loads(f"[{body}]")
+    except ValueError:
+        return False
+    return (
+        bool(values)
+        and all(type(v) is int and -(2**63) < v < 2**63 - 1 for v in values)
+        and ",".join(map(str, values)) == body
+    )
+
+
+def equivalence_model(tmp_path: Path) -> tuple[Path, str]:
+    """A one-layer model with a comp map holding a 0.0, in write_model's
+    layout, and its text."""
+    rng = np.random.default_rng(7)
+    comp = rng.standard_normal((3, 3))
+    comp[0, 1] = 0.0
+    net = Network([ConvLayer(rng.standard_normal((3, 2, 1, 1)), comp=comp, activation="relu")])
+    path = tmp_path / "m.json"
+    write_model(net, (2, 4, 4), path)
+    return path, path.read_text()
+
+
+def array_span(text: str, field: str) -> tuple[int, int]:
+    """Where the values of the field's array begin and end in text."""
+    start = text.index(f'"{field}": [') + len(f'"{field}": [')
+    return start, text.index("]", start)
+
+
+def edited_bodies(values: list[int]) -> dict[str, str]:
+    """Text between an array's brackets: write_model's for values, and
+    edits of it that json reads differently or rejects."""
+    canon = ",".join(map(str, values))
+    rest = canon.split(",", 1)[1]
+    bodies = {
+        "canonical": canon,
+        "leading zero": "0" + canon.lstrip("-"),
+        "plus": "+" + canon.lstrip("-"),
+        "minus zero": "-0," + rest,
+        "zero": "0," + rest,
+        "bare minus": "-," + rest,
+        "bare minus last": canon.rsplit(",", 1)[0] + ",-",
+        "bare plus": "+," + rest,
+        "bare space": " ," + rest,
+        "double minus": "--1," + rest,
+        "inner minus": "1-2," + rest,
+        "trailing minus": canon + "-",
+        "trailing comma": canon + ",",
+        "leading comma": "," + canon,
+        "double comma": canon.replace(",", ",,", 1),
+        "empty": "",
+        "spaces": canon.replace(",", ", "),
+        "newlines": canon.replace(",", ",\n "),
+        "exponent": "1e5," + rest,
+        "fraction": "0.5," + rest,
+        "bool": "true," + rest,
+        "int64 min": f"{-(2**63)}," + rest,  # the bit pattern of -0.0
+        "int64 max": f"{2**63 - 1}," + rest,
+    }
+    for beyond in [2**63, -(2**63) - 1, 10**19, -(10**19), 2**64 + 1, 10**30]:
+        bodies[f"beyond int64 {beyond}"] = f"{beyond}," + rest
+    return bodies
+
+
+@pytest.mark.parametrize("numpy_raises", [True, False], ids=["numpy-raises", "numpy-warns"])
+@pytest.mark.parametrize("field", ["weights", "data"])
+def test_numpy_arrays_read_as_json_reads_them(tmp_path, field, numpy_raises):
+    """NumPy parses an array only if json would write it so, and read_model
+    gives the same arrays or the same error as plain json would.  Without
+    numpy_raises, fromstring behaves as in NumPy releases that warn on text
+    they cannot read to its end and return the values before it; no
+    warning leaks."""
+    path, text = equivalence_model(tmp_path)
+    start, end = array_span(text, field)
+    real_fromstring = np.fromstring
+
+    def warning_fromstring(text, dtype, sep):
+        try:
+            return real_fromstring(text, dtype=dtype, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end", DeprecationWarning)
+            values = []
+            for item in text.split(b","):
+                if not re.fullmatch(rb"-?[0-9]*", item) or not item:
+                    break
+                values.append(int(item) if item != b"-" else 0)
+            return np.array(values, dtype=np.int64)
+
+    bodies = edited_bodies(json.loads(f"[{text[start:end]}]"))
+    assert [name for name, body in bodies.items() if is_canonical(body)] == ["canonical", "zero"]
+    # each file, and how many arrays NumPy parses in it
+    files = {
+        name: (text[:start] + body + text[end:], 1 + is_canonical(body))
+        for name, body in bodies.items()
+    }
+    # a backslash anywhere sends every array to json
+    files["escape"] = (text.replace('"relu"', '"rel\\u0075"'), 0)
+    files["bad escape"] = (text.replace('"relu"', '"rel\\q"'), 0)
+    # NumPy parses only weights and data arrays
+    one_line_shape = re.sub(r'"input_shape": \[[^]]*\]', '"input_shape": [2,4,4]', text)
+    files["one-line input_shape"] = (one_line_shape, 2)
+    for name, (content, parsed) in files.items():
+        path.write_text(content)
+        assert len(modelio._slot_arrays(path.read_bytes())[1]) == parsed, name
+        expected = reference_outcome(path)
+        with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            if not numpy_raises:
+                patch.setattr(np, "fromstring", warning_fromstring)
+            assert model_outcome(path) == expected, name
+        assert caught == [], name
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    field=st.sampled_from(["weights", "data"]),
+    values=st.lists(
+        st.integers(-(2**63), 2**63 - 1) | st.sampled_from([0, 1, -1, 2**63 - 1, 2**63, -(2**63)]),
+        min_size=9,
+        max_size=9,
+    ),
+    edits=st.lists(
+        st.tuples(
+            st.sampled_from(["insert", "delete", "repeat"]),
+            st.integers(0, 500),
+            st.sampled_from(list("0123456789,-+.e []\n\"\\x")),
+        ),
+        max_size=3,
+    ),
+)
+def test_numpy_arrays_read_as_json_reads_them_fuzz(field, values, edits, tmp_path_factory):
+    path, text = equivalence_model(tmp_path_factory.mktemp("equivalence"))
+    start, end = array_span(text, field)
+    array = "[" + ",".join(map(str, values[: len(json.loads(f"[{text[start:end]}]"))])) + "]"
+    for op, at, char in edits:
+        at %= len(array) + (op == "insert")
+        if op == "insert":
+            array = array[:at] + char + array[at:]
+        elif op == "delete":
+            array = array[:at] + array[at + 1 :]
+        else:
+            array = array[:at] + array[at : at + 1] * 2 + array[at + 1 :]
+    content = text[: start - 1] + array + text[end + 1 :]
+    path.write_text(content)
+    body = array[1:-1]
+    if array[:1] + array[-1:] == "[]" and not re.search(r'[][\\"]', body):
+        slots = modelio._slot_arrays(path.read_bytes())[1]
+        assert len(slots) == 1 + is_canonical(body)
+    assert model_outcome(path) == reference_outcome(path)
 
 
 def test_schema1_reads_numbers_as_values(tmp_path):
@@ -499,6 +727,23 @@ def test_read_model_diagnostics(rng, tmp_path):
     path.write_text(json.dumps(broken))
     with pytest.raises(ModelIOError, match="must be an integer"):
         read_model(path)
+
+    # json's message names the line and column in the file, not in the text
+    # json parses once NumPy has parsed the arrays: a file cut off right
+    # after an array, and one without the comma after an array
+    comp_net = Network([ConvLayer(rng.standard_normal((3, 2, 1, 1)), comp=np.eye(3))])
+    write_model(comp_net, (2, 4, 4), path)
+    text = path.read_text()
+    weights_end = text.index("]", text.index('"weights": [')) + 1
+    data_end = text.index("]", text.index('"data": [')) + 1
+    assert text[data_end] == ","
+    for broken in [text[:weights_end], text[:data_end] + text[data_end + 1 :]]:
+        with pytest.raises(json.JSONDecodeError) as error:
+            json.loads(broken)
+        path.write_text(broken)
+        with pytest.raises(ModelIOError) as raised:
+            read_model(path)
+        assert str(raised.value) == f"not a model file: {error.value}"
 
 
 def test_read_model_diagnostics_on_schema1(tmp_path):
