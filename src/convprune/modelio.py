@@ -255,6 +255,14 @@ def _int_field(value, what: str) -> int:
     return int(value)
 
 
+def _float_field(value, what: str) -> float:
+    """A number (a JSON int or float, when read); a string or a bool is an
+    error."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ModelIOError(f"{what} must be a number, got {value!r}")
+    return float(value)
+
+
 def _check_schema(value, supported: tuple[int, ...], kind: str) -> int:
     """A schema_version is a JSON integer (true and 1.0 equal 1 in Python)."""
     version = _int_field(value, "schema_version")
@@ -497,13 +505,15 @@ def _round_to_json(r: PruneRound) -> dict:
 
 
 def _round_from_json(entry: dict) -> PruneRound:
-    chosen = entry["chosen_layer"]
+    chosen, errors = entry["chosen_layer"], entry["errors"]
+    if not isinstance(errors, list):
+        raise ModelIOError(f"errors must be a list, got {errors!r}")
     return PruneRound(
         t=_int_field(entry["t"], "t"),
-        errors=tuple(math.inf if e is None else float(e) for e in entry["errors"]),
+        errors=tuple(math.inf if e is None else _float_field(e, "errors entry") for e in errors),
         chosen_layer=None if chosen is None else _int_field(chosen, "chosen_layer") - 1,
         retained=tuple(_int_field(v, "retained entry") for v in entry["retained"]),
-        param_reduction=float(entry["param_reduction"]),
+        param_reduction=_float_field(entry["param_reduction"], "param_reduction"),
         forward_passes=_int_field(entry["forward_passes"], "forward_passes"),
         skipped_refs=_int_field(entry["skipped_refs"], "skipped_refs"),
     )
@@ -548,14 +558,17 @@ def read_report(path) -> PruneReport:
         raise ModelIOError("not a report file: no schema_version")
     _check_schema(doc["schema_version"], (REPORT_SCHEMA_VERSION,), "report")
     try:
+        status = doc["status"]
+        if status not in ("reached", "partial"):
+            raise ModelIOError(f'status must be "reached" or "partial", got {status!r}')
         return PruneReport(
             config=doc["config"],
-            status=doc["status"],
+            status=status,
             rounds=tuple(_round_from_json(r) for r in doc["rounds"]),
             before=doc["before"],
             after=doc["after"],
-            param_drop_pct=float(doc["param_drop_pct"]),
-            flops_drop_pct=float(doc["flops_drop_pct"]),
+            param_drop_pct=_float_field(doc["param_drop_pct"], "param_drop_pct"),
+            flops_drop_pct=_float_field(doc["flops_drop_pct"], "flops_drop_pct"),
         )
     # OverflowError: an integer beyond float64 where a float belongs
     except (KeyError, TypeError, ValueError, OverflowError) as exc:

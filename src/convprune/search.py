@@ -16,9 +16,11 @@ until the parameter budget is met.  Two scoring rules are provided:
   candidate columns do not depend on each other, so the caller and one
   helper thread fill them, with results identical to a serial pass.
 
-Both run through one runner, _on_two_threads, as does the reference pass
-of hbgs.  Tasks below a failed one run whole and none above it starts,
-so it raises what a serial pass raises.
+One helper, _extend_chain, extends every chain of layer outputs (the hbgs
+example chains, the references, the tree's chain and each tree column) and
+restores a dropped (None) entry from the last entry before it.  Every pass
+runs through one runner, _on_two_threads, which raises what a serial pass
+raises: tasks below a failed one run whole and none above it starts.
 
 Rounds are incremental.  A commit at layer k changes only layer k, so the
 next round reuses what it left unchanged: hbgts keeps its tree's chain up
@@ -28,11 +30,11 @@ only the columns of layers < k from layer k on and the columns of layers
 >= k run a conv; hbgs takes the errors of layers < k from the last round's
 record, scores only layers >= k, and keeps each example's chain up to
 layer k's input; its first round takes the chains from the reference
-outputs.  Between rounds an hbgs chain holds only the example and
-the inputs of odd layers, a checkpoint every other layer, so a dropped
-input of layer k is restored with one conv.  Reused values are the very
-arrays and floats the same computation produced, so results are exactly
-those of a full recompute.
+outputs.  Between rounds an hbgs chain holds only the example and the
+inputs of odd layers, a checkpoint every other layer, so _extend_chain
+restores a dropped input of layer k with one conv.  Reused values are the
+very arrays and floats the same computation produced, so results are
+exactly those of a full recompute.
 
 Every driver runs the same round loop and commits through the same
 bookkeeping, so their reports are directly comparable: hbgs and hbgts take
@@ -198,16 +200,11 @@ def collect_layer_outputs(net: Network, data: np.ndarray) -> list[list[np.ndarra
     Examples run on the caller and one helper thread, each example on
     one, so the outputs are those of a serial pass.
     """
-    refs: list[list[np.ndarray]] = [[] for _ in data]
-
-    def outputs(i: int) -> None:
-        y = data[i]
-        for layer in net.layers:
-            y = _layer_output(layer, y)
-            refs[i].append(y)
-
-    _on_two_threads(outputs, *_by_parity(len(data)))
-    return refs
+    chains = [[x] for x in data]
+    _on_two_threads(
+        lambda i: _extend_chain(net.layers, chains[i], len(net)), *_by_parity(len(data))
+    )
+    return [chain[1:] for chain in chains]
 
 
 def _each_norm(arrays) -> list[float]:
@@ -220,16 +217,19 @@ def _norms(refs: list[list[np.ndarray]]) -> list[list[float]]:
     return [_each_norm(per_layer) for per_layer in refs]
 
 
-def _extend_chain(net: Network, chain: list[np.ndarray | None], c: int) -> None:
-    """Fill chain[c], the input of layer c; entries that are missing or
-    dropped (None) are filled in from the last one present before them.
-    A started example's task runs this whole unless its own conv raises."""
+def _extend_chain(layers: list[ConvLayer], chain: list[np.ndarray | None], c: int) -> None:
+    """Fill chain[c], where chain[i + 1] is layers[i] applied to chain[i].
+
+    Every chain and tree column in this module is extended here, and a
+    missing or dropped (None) entry is restored here, from the last entry
+    present before it.  A started task runs this whole unless its own conv
+    raises."""
     chain.extend([None] * (c + 1 - len(chain)))
     j = c
     while chain[j] is None:
         j -= 1
     for i in range(j, c):
-        chain[i + 1] = _layer_output(net.layers[i], chain[i])
+        chain[i + 1] = _layer_output(layers[i], chain[i])
 
 
 def relative_error_hbgs(
@@ -252,7 +252,7 @@ def relative_error_hbgs(
     1, ...] in the current network, kept across calls.  It is extended in
     place up to the input of the last layer that has a candidate, and only
     the missing entries run a conv.  Once the example is scored, its
-    inputs of even layers >= 2 are dropped (None): a later call restores
+    inputs of even layers >= 2 are dropped (None): _extend_chain restores
     one with a single conv from the odd layer's input before it.
 
     The caller scores the even examples and one helper thread the odd
@@ -273,7 +273,7 @@ def relative_error_hbgs(
         for c, cand in enumerate(candidates):
             if cand is None:
                 continue
-            _extend_chain(net, chain, c)
+            _extend_chain(net.layers, chain, c)
             if ref_norms[i][c] != 0.0:
                 cand_out = _layer_output(cand, chain[c])
                 table[i, c] = float(np.linalg.norm(refs[i][c] - cand_out)) / ref_norms[i][c]
@@ -331,19 +331,15 @@ def propagate_tree(
         x = np.asarray(x, dtype=np.float64)
         known = PropagationTree([x], [None] * len(net))
     chain, columns = known.chain, known.columns
-    for layer in net.layers[len(chain) - 1 :]:
-        chain.append(_layer_output(layer, chain[-1]))
+    _extend_chain(net.layers, chain, len(net))
     for c, cand in enumerate(candidates):
         columns[c] = None if cand is None else columns[c] or []
 
     def fill(c: int) -> None:
-        column = columns[c]
-        while len(column) < len(net) - c:
-            if column:
-                layer, y = net.layers[c + len(column)], column[-1]
-            else:
-                layer, y = candidates[c], chain[c]
-            column.append(_layer_output(layer, y))
+        # column c is the chain from chain[c] with layer c swapped for its candidate
+        column = [chain[c], *columns[c]]
+        _extend_chain([candidates[c], *net.layers[c + 1 :]], column, len(net) - c)
+        columns[c] = column[1:]
 
     todo = iter([c for c, cand in enumerate(candidates) if cand is not None])
     _on_two_threads(fill, todo, todo)
@@ -412,7 +408,7 @@ class _RoundLoop:
     def __init__(self, net: Network, data: np.ndarray, cfg: PruneConfig):
         self.cfg = cfg
         self.data = check_dataset(net, data)
-        self.input_shape = (net.in_channels, data.shape[2], data.shape[3])
+        self.input_shape = (net.in_channels, *self.data.shape[2:])
         self.original_stats = count_stats(net, self.input_shape)
         self.net = net
         self.rounds: list[PruneRound] = []

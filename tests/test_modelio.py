@@ -996,6 +996,65 @@ def test_read_report_diagnostics(small_report, tmp_path):
             read_report(path)
 
 
+# (where in the report document, bad value, message after "malformed report file: ")
+MALFORMED_REPORT_FIELDS = [
+    (("rounds", 0, "param_reduction"), "0.5", "param_reduction must be a number, got '0.5'"),
+    (("rounds", 0, "param_reduction"), True, "param_reduction must be a number, got True"),
+    (("rounds", 0, "param_reduction"), None, "param_reduction must be a number, got None"),
+    (("rounds", 0, "errors", 0), "nan", "errors entry must be a number, got 'nan'"),
+    (("rounds", 0, "errors", 0), "0.5", "errors entry must be a number, got '0.5'"),
+    (("rounds", 0, "errors", 0), False, "errors entry must be a number, got False"),
+    (("rounds", 0, "errors", 0), [0.5], r"errors entry must be a number, got \[0.5\]"),
+    (("rounds", 0, "errors"), "123", "errors must be a list, got '123'"),
+    (("rounds", 0, "errors"), {"0": 0.5}, "errors must be a list, got {'0': 0.5}"),
+    (("rounds", 0, "errors"), 0.5, "errors must be a list, got 0.5"),
+    (("param_drop_pct",), True, "param_drop_pct must be a number, got True"),
+    (("flops_drop_pct",), "40.3", "flops_drop_pct must be a number, got '40.3'"),
+    (("status",), "done", """status must be "reached" or "partial", got 'done'"""),
+    (("status",), None, 'status must be "reached" or "partial", got None'),
+    (("status",), ["reached"], r"""status must be "reached" or "partial", got \['reached'\]"""),
+]
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        pytest.param(*case, id=f"{'.'.join(map(str, case[0]))}={case[1]!r}")
+        for case in MALFORMED_REPORT_FIELDS
+    ],
+)
+def test_read_report_rejects_malformed_float_and_status_fields(
+    small_report, tmp_path, where, value, message
+):
+    path = tmp_path / "r.json"
+    write_report(small_report, path)
+    doc = json.loads(path.read_text())
+    *parents, leaf = where
+    owner = doc
+    for key in parents:
+        owner = owner[key]
+    owner[leaf] = value
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ModelIOError, match=f"^malformed report file: {message}$"):
+        read_report(path)
+
+
+def test_read_report_reads_json_ints_as_floats(small_report, tmp_path):
+    path = tmp_path / "r.json"
+    write_report(small_report, path)
+    doc = json.loads(path.read_text())
+    doc["status"] = "partial"
+    doc["param_drop_pct"] = 40
+    doc["rounds"][0]["errors"][0] = 2
+    doc["rounds"][0]["param_reduction"] = 0
+    path.write_text(json.dumps(doc))
+    back = read_report(path)
+    assert back.status == "partial"
+    assert type(back.param_drop_pct) is float and back.param_drop_pct == 40.0
+    assert type(back.rounds[0].errors[0]) is float and back.rounds[0].errors[0] == 2.0
+    assert type(back.rounds[0].param_reduction) is float
+
+
 # --------------------------------------------------------------------- fuzz
 
 

@@ -1172,6 +1172,21 @@ def test_run_selector_dispatch(rng, selector):
     assert total_after < total_before
 
 
+@pytest.mark.parametrize("selector", list(search.DRIVERS))
+def test_drivers_accept_an_array_like_dataset(rng, selector):
+    net = rand_net(rng, [2, 6, 6], k=3, activation="relu")
+    data = rng.standard_normal((3, 2, 4, 4))
+    cfg = PruneConfig(beta=0.3, alpha=2, selector=selector)
+    want = run_selector(net, data, cfg)
+    got = run_selector(net, data.tolist(), cfg)
+    assert got.status == want.status
+    assert got.rounds == want.rounds
+    for a, b in zip(got.network.layers, want.network.layers, strict=True):
+        assert a.weights.tobytes() == b.weights.tobytes()
+        assert (a.comp is None) == (b.comp is None)
+        assert a.comp is None or a.comp.tobytes() == b.comp.tobytes()
+
+
 def test_prune_config_validation():
     with pytest.raises(ValueError):
         PruneConfig(beta=0.0)
