@@ -8,21 +8,25 @@ parsed as text.  A reader whose JSON numbers are doubles (JavaScript's, for
 one) must parse these values as 64-bit integers.  The writer streams each
 array to the file in bounded chunks, so it never holds a Python int per
 weight; everything else is one json.dumps(doc, sort_keys=True, indent=1) of
-the model.  The reader holds the file's bytes and parses each array that is
-exactly in that one-line layout with one np.fromstring call, so it makes no
-Python number for it; json parses the rest of the file, with a slot string
-in each such array's place.  Any other array (schema 1's lists of floats, a
-re-indented or spaced list, "-0" or a leading zero, an int beyond int64 or
-at its limits, every array of a file with a backslash) is parsed by json
-and turned into an int64 array (a list of integers) or a float64 array (any
-float among them) as soon as json has built its object, so the Python
+the model.  The reader reads the file in blocks of at most 1 MiB.  Where
+every "weights" and "data" array is in that one-line layout, it parses each
+with np.fromstring, a piece cut at a comma at a time, so it neither holds
+the file's bytes whole nor makes a Python number per value; json parses
+the rest of the file, with a slot string in each array's place.  Any other
+file (schema 1's lists of floats, a re-indented or spaced list, "-0" or a
+leading zero, an int beyond int64 or at its limits, a backslash anywhere,
+text that is not UTF-8 JSON) is read whole and parsed by json, which turns
+each array into an int64 array (a list of integers) or a float64 array
+(any float among them) as soon as it has built its object, so the Python
 numbers of at most one array exist at a time.  Both paths accept the same
 files, with the same values and the same errors.
 Tensors use a small binary container: magic "PKT1", little-endian u32 rank,
-u32 dims, then the float64 payload in row-major order.  Reports echo the run
-configuration, every committed round, and the per-round heatmap table as
-embedded CSV; the encoder is deterministic (sorted keys, no timestamps) so
-identical runs produce byte-identical files.
+u32 dims, then the float64 payload in row-major order, which the reader
+reads straight into its array.  Reports echo the run configuration, every
+committed round, and the per-round heatmap table as embedded CSV; the
+encoder is deterministic (sorted keys, no timestamps) so identical runs
+produce byte-identical files.  The report reader checks each field's type,
+and that each round has one errors and one retained entry per layer.
 """
 from __future__ import annotations
 
@@ -31,7 +35,9 @@ import io
 import json
 import math
 import numbers
+import os
 import re
+import stat
 import struct
 import warnings
 from dataclasses import dataclass
@@ -51,13 +57,18 @@ _U32_MAX = 2**32 - 1
 _CHUNK = 4096
 _ARRAY_SLOT = "\0array"
 _SLOT_TEXT = re.compile(r'"\\u0000array(\d+)"')
-# read_model puts a slot, as json.dumps writes it, in place of each array it
-# parses itself, and checks an array's characters _TEXT_CHUNK bytes at a time
-_SLOT_JSON = b'"\\u0000array%d"'
+# read_model reads a model file _TEXT_CHUNK bytes at a time, and puts a
+# slot, as json.dumps writes it, in place of each array after _ARRAY_KEY
+# that it parses itself.  A key cut by a block's end lies in its last
+# _KEY_TAIL bytes; no int64 that _parse_bits reads is longer than _VALUE_MAX
 _TEXT_CHUNK = 2**20
+_SLOT_JSON = b'"\\u0000array%d"'
+_ARRAY_KEY = re.compile(rb'"(?:weights|data)": \[')
+_KEY_TAIL = len(b'"weights": [') - 1
+_INT64 = np.iinfo(np.int64)
+_VALUE_MAX = len(str(_INT64.min + 1))
 # 10 ... 10**18: a nonzero int64 magnitude has 1 + (how many are <= it) digits
 _POWERS_OF_10 = 10 ** np.arange(1, 19, dtype=np.int64)
-_INT64 = np.iinfo(np.int64)
 
 
 class ModelIOError(ValueError):
@@ -146,9 +157,9 @@ def _arrays_hook(obj: dict) -> dict:
     return obj
 
 
-def _parse_bits(raw: bytes, start: int, end: int) -> np.ndarray | None:
-    """The int64 values whose ",".join(map(str, values)) is raw[start:end],
-    as _write_bits writes them between the brackets; None for other text.
+def _parse_bits(text: bytes) -> np.ndarray | None:
+    """The int64 values whose ",".join(map(str, values)) is text, as
+    _write_bits writes them between the brackets; None for other text.
 
     np.fromstring parses them in one call.  It also reads other text: a
     leading zero, "-0", a bare "-" (as 0), a trailing comma, an int beyond
@@ -159,14 +170,8 @@ def _parse_bits(raw: bytes, start: int, end: int) -> np.ndarray | None:
     text, and what it does not read is left over.  A bare "-" is as long
     as "0", and is ruled out on its own.
     """
-    # the characters, a slice of _TEXT_CHUNK bytes at a time: translate
-    # makes a result as long as its input before it shrinks it
-    if any(
-        raw[i : min(i + _TEXT_CHUNK, end)].translate(None, b"0123456789,-")
-        for i in range(start, end, _TEXT_CHUNK)
-    ):
+    if text.translate(None, b"0123456789,-"):
         return None
-    text = raw[start:end]
     with warnings.catch_warnings():
         # text that fromstring cannot read to its end raises in current
         # NumPy; older NumPy warns and returns the values before it
@@ -189,37 +194,70 @@ def _parse_bits(raw: bytes, start: int, end: int) -> np.ndarray | None:
     return values
 
 
-def _slot_arrays(raw: bytes) -> tuple[bytes, list[np.ndarray]]:
-    """raw with each "weights" and "data" array that _parse_bits reads
-    replaced by a slot string, and those arrays in slot order.
+def _split_model(fh) -> tuple[bytes, list[np.ndarray]] | None:
+    """The model file fh, read _TEXT_CHUNK bytes at a time, as a skeleton
+    (its text with a slot string in place of each "weights" and "data"
+    array that follows its key, a colon and a space) and those arrays in
+    slot order; None if the file holds a backslash or such an array that
+    _parse_bits does not read, or ends inside one.
 
-    Nothing is replaced in a file that holds a backslash.  Without one,
-    every quote delimits a string, and no string of the file can equal a
-    slot, which is written with an escape.  An array found after its key
-    and colon is then a value wherever json reads on to it, so json accepts
-    the skeleton exactly when it accepts raw, and gives the same objects
-    but for a slot in place of each replaced array.
+    Without a backslash, every quote delimits a string, and no string of
+    the file can equal a slot, which is written with an escape.  An array
+    found after its key and colon is then a value wherever json reads on to
+    it, so json accepts the skeleton exactly when it accepts the file, and
+    gives the same objects but for a slot in place of each array.
+
+    An array is parsed in pieces, each cut at the last comma read so far:
+    its text is canonical exactly when each piece is.  What is left after
+    a cut is the start of one value, and no canonical value is longer
+    than _VALUE_MAX bytes, so the text held between blocks stays short.
     """
-    if b"\\" in raw:
-        return raw, []
-    pieces, arrays = [], []
-    done = 0
-    at = raw.find(b": [")
-    while at >= 0:
-        start = at + 2  # the array's "["
-        end = -1
-        if raw.endswith((b'"weights"', b'"data"'), 0, at):
-            end = raw.find(b"]", start)
-        values = _parse_bits(raw, start + 1, end) if end > start else None
-        if values is not None:
-            pieces += [raw[done:start], _SLOT_JSON % len(arrays)]
-            arrays.append(values)
-            done = end + 1
-        at = raw.find(b": [", max(done, start + 1))
-    if not arrays:
-        return raw, []
-    pieces.append(raw[done:])
-    return b"".join(pieces), arrays
+    info = os.fstat(fh.fileno())
+    if not stat.S_ISREG(info.st_mode):  # a pipe has no size to read up to
+        return None
+    left = info.st_size
+    skeleton: list[bytes] = []
+    arrays: list[np.ndarray] = []
+    pieces = None  # the parsed pieces of the array being read
+    text, at = b"", 0  # what was read, and how much of it is placed
+    while left > 0:
+        block = fh.read(min(_TEXT_CHUNK, left))
+        if not block or b"\\" in block:
+            return None
+        left -= len(block)
+        # the block is held once: as text, with what is left of the last
+        text, at = text[at:] + block, 0
+        del block
+        while True:
+            if pieces is None:
+                key = _ARRAY_KEY.search(text, at)
+                if key is None:
+                    # a key cut by the block's end is found after the next
+                    keep = max(at, len(text) - _KEY_TAIL)
+                    skeleton.append(text[at:keep])
+                    at = keep
+                    break
+                skeleton.append(text[at : key.end() - 1])
+                at, pieces = key.end(), []
+            end = text.find(b"]", at)
+            cut = end if end >= 0 else text.rfind(b",", at)
+            if cut >= 0:
+                values = _parse_bits(text[at:cut])
+                if values is None:
+                    return None
+                pieces.append(values)
+                at = cut + 1
+            if end < 0:
+                if len(text) - at > _VALUE_MAX:
+                    return None
+                break
+            skeleton.append(_SLOT_JSON % len(arrays))
+            arrays.append(np.concatenate(pieces))
+            pieces = None
+    if pieces is not None:
+        return None
+    skeleton.append(text[at:])
+    return b"".join(skeleton), arrays
 
 
 def _float_array(values, shape: tuple[int, ...], what: str, schema: int) -> np.ndarray:
@@ -331,35 +369,35 @@ def _parse_json(raw: bytes, kind: str, object_hook=None):
         raise ModelIOError(f"not a {kind} file: {exc}") from None
 
 
-def _read_bytes(path) -> bytes:
-    with open(path, "rb") as fh:
-        return fh.read()
-
-
-def _load_model(raw: bytes):
+def _load_model(path):
     """The parsed model file, with its "weights" and "data" arrays made by
-    _slot_arrays or _arrays_hook."""
-    skeleton, arrays = _slot_arrays(raw)
-    if arrays:
+    _split_model or _arrays_hook."""
+    with open(path, "rb") as fh:
+        split = _split_model(fh)
+        if split is not None:
+            skeleton, arrays = split
 
-        def hook(obj: dict) -> dict:
-            for key in ("weights", "data"):
-                value = obj.get(key)
-                if type(value) is str and value.startswith(_ARRAY_SLOT):
-                    obj[key] = arrays[int(value[len(_ARRAY_SLOT) :])]
-            return _arrays_hook(obj)
+            def hook(obj: dict) -> dict:
+                for key in ("weights", "data"):
+                    value = obj.get(key)
+                    if type(value) is str and value.startswith(_ARRAY_SLOT):
+                        obj[key] = arrays[int(value[len(_ARRAY_SLOT) :])]
+                return _arrays_hook(obj)
 
-        try:
-            return json.loads(skeleton.decode("utf-8"), object_hook=hook)
-        except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
-            # the file is not UTF-8 JSON: json reports it below with the
-            # file's positions, not the skeleton's
-            pass
+            try:
+                return json.loads(skeleton.decode("utf-8"), object_hook=hook)
+            except (json.JSONDecodeError, UnicodeDecodeError, RecursionError):
+                # the file is not UTF-8 JSON: json reports it below with the
+                # file's positions, not the skeleton's
+                pass
+        if fh.seekable():  # a pipe, which _split_model left unread, is not
+            fh.seek(0)
+        raw = fh.read()
     return _parse_json(raw, "model", object_hook=_arrays_hook)
 
 
 def read_model(path) -> tuple[Network, tuple[int, int, int]]:
-    doc = _load_model(_read_bytes(path))
+    doc = _load_model(path)
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a model file: no schema_version")
     schema = _check_schema(doc["schema_version"], (1, MODEL_SCHEMA_VERSION), "model")
@@ -404,25 +442,38 @@ def write_tensor(arr: np.ndarray, path) -> None:
 
 def read_tensor(path) -> np.ndarray:
     with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) < 8 or blob[:4] != TENSOR_MAGIC:
+        info = os.fstat(fh.fileno())
+        if stat.S_ISREG(info.st_mode):
+            return _read_tensor(fh, info.st_size)
+        blob = fh.read()  # a pipe's size is known once it is read
+    return _read_tensor(io.BytesIO(blob), len(blob))
+
+
+def _read_tensor(fh, size: int) -> np.ndarray:
+    """The tensor in fh, a file of size bytes.  The header is checked
+    against the size before the payload is read, straight into the array
+    returned."""
+    head = fh.read(8)
+    if len(head) < 8 or head[:4] != TENSOR_MAGIC:
         raise TensorFormatError("bad magic: not a tensor file")
-    (rank,) = struct.unpack_from("<I", blob, 4)
+    (rank,) = struct.unpack_from("<I", head, 4)
     if rank == 0:
         raise TensorFormatError("rank-0 tensors are not supported")
-    if len(blob) < 8 + 4 * rank:
+    if size < 8 + 4 * rank:
         raise TensorFormatError("truncated tensor header")
-    dims = struct.unpack_from(f"<{rank}I", blob, 8)
+    dims = struct.unpack(f"<{rank}I", fh.read(4 * rank))
     count = math.prod(dims)
     if count == 0:
         raise TensorFormatError(f"empty dimensions {dims}")
-    payload = len(blob) - 8 - 4 * rank
+    payload = size - 8 - 4 * rank
     if count * 8 != payload:
         raise TensorFormatError(
             f"payload holds {payload // 8} values, dims {dims} require {count}"
         )
-    data = np.frombuffer(blob, dtype="<f8", offset=8 + 4 * rank)
-    return data.reshape(dims).astype(np.float64)
+    data = np.empty(dims, dtype="<f8")
+    if fh.readinto(data) != payload:
+        raise TensorFormatError("truncated tensor payload")
+    return data.astype(np.float64, copy=False)
 
 
 def read_dataset(path) -> np.ndarray:
@@ -504,19 +555,45 @@ def _round_to_json(r: PruneRound) -> dict:
     }
 
 
-def _round_from_json(entry: dict) -> PruneRound:
-    chosen, errors = entry["chosen_layer"], entry["errors"]
-    if not isinstance(errors, list):
-        raise ModelIOError(f"errors must be a list, got {errors!r}")
+def _round_from_json(entry: dict, layers: int) -> PruneRound:
+    chosen, errors, retained = entry["chosen_layer"], entry["errors"], entry["retained"]
+    for name, values in [("errors", errors), ("retained", retained)]:
+        if not isinstance(values, list):
+            raise ModelIOError(f"{name} must be a list, got {values!r}")
+        if len(values) != layers:
+            raise ModelIOError(
+                f"{name} holds {len(values)} entries, expected {layers} (one per layer)"
+            )
     return PruneRound(
         t=_int_field(entry["t"], "t"),
         errors=tuple(math.inf if e is None else _float_field(e, "errors entry") for e in errors),
         chosen_layer=None if chosen is None else _int_field(chosen, "chosen_layer") - 1,
-        retained=tuple(_int_field(v, "retained entry") for v in entry["retained"]),
+        retained=tuple(_int_field(v, "retained entry") for v in retained),
         param_reduction=_float_field(entry["param_reduction"], "param_reduction"),
         forward_passes=_int_field(entry["forward_passes"], "forward_passes"),
         skipped_refs=_int_field(entry["skipped_refs"], "skipped_refs"),
     )
+
+
+def _stats_from_json(stats, what: str) -> dict:
+    """A before or after entry as _stats_dict writes it: integer params and
+    flops, and per_layer entries with integer fields, out_channels >= 1."""
+    if not isinstance(stats, dict):
+        raise ModelIOError(f"{what} must be an object, got {stats!r}")
+    _int_field(stats["params"], f"{what} params")
+    _int_field(stats["flops"], f"{what} flops")
+    per_layer = stats["per_layer"]
+    if not isinstance(per_layer, list):
+        raise ModelIOError(f"{what} per_layer must be a list, got {per_layer!r}")
+    for entry in per_layer:
+        if not isinstance(entry, dict):
+            raise ModelIOError(f"{what} per_layer entry must be an object, got {entry!r}")
+        for key in ("params", "flops", "width"):
+            _int_field(entry[key], f"{what} per_layer {key}")
+        channels = _int_field(entry["out_channels"], f"{what} per_layer out_channels")
+        if channels < 1:
+            raise ModelIOError(f"{what} per_layer out_channels must be positive, got {channels}")
+    return stats
 
 
 def heatmap_csv(report: PruneReport) -> str:
@@ -553,20 +630,30 @@ def write_report(report: PruneReport, path) -> None:
 
 
 def read_report(path) -> PruneReport:
-    doc = _parse_json(_read_bytes(path), "report")
+    with open(path, "rb") as fh:
+        doc = _parse_json(fh.read(), "report")
     if not isinstance(doc, dict) or "schema_version" not in doc:
         raise ModelIOError("not a report file: no schema_version")
     _check_schema(doc["schema_version"], (REPORT_SCHEMA_VERSION,), "report")
     try:
-        status = doc["status"]
+        config, status = doc["config"], doc["status"]
+        if not isinstance(config, dict):
+            raise ModelIOError(f"config must be an object, got {config!r}")
         if status not in ("reached", "partial"):
             raise ModelIOError(f'status must be "reached" or "partial", got {status!r}')
+        before = _stats_from_json(doc["before"], "before")
+        after = _stats_from_json(doc["after"], "after")
+        layers = len(before["per_layer"])
+        if len(after["per_layer"]) != layers:
+            raise ModelIOError(
+                f"after per_layer holds {len(after['per_layer'])} layers, before {layers}"
+            )
         return PruneReport(
-            config=doc["config"],
+            config=config,
             status=status,
-            rounds=tuple(_round_from_json(r) for r in doc["rounds"]),
-            before=doc["before"],
-            after=doc["after"],
+            rounds=tuple(_round_from_json(r, layers) for r in doc["rounds"]),
+            before=before,
+            after=after,
             param_drop_pct=_float_field(doc["param_drop_pct"], "param_drop_pct"),
             flops_drop_pct=_float_field(doc["flops_drop_pct"], "flops_drop_pct"),
         )

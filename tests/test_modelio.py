@@ -4,8 +4,10 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import os
 import re
 import struct
+import threading
 import tracemalloc
 import warnings
 from pathlib import Path
@@ -108,6 +110,25 @@ def test_read_model_peak_is_bounded_by_the_text(tmp_path):
         tracemalloc.stop()
     assert all(np.array_equal(a.weights, b.weights) for a, b in zip(layers, net.layers))
     assert peak < 3 * size, f"read_model peak {peak / size:.2f}x the file size"
+
+
+def test_read_model_peak_is_below_the_file_size(tmp_path):
+    """read_model holds a block of the file at a time, not the file: for
+    a model of 8 MiB or more its peak is below the file's size."""
+    rng = np.random.default_rng(0)
+    layers = [ConvLayer(rng.standard_normal((128, 128, 3, 3))) for _ in range(3)]
+    path = tmp_path / "model.json"
+    write_model(Network(layers), (128, 8, 8), path)
+    size = path.stat().st_size
+    assert size >= 8 * 2**20
+    tracemalloc.start()
+    try:
+        net, _ = read_model(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(layers, net.layers))
+    assert peak < size, f"read_model peak {peak / size:.2f}x the file size"
 
 
 def test_schema_version_is_a_json_integer(rng, small_report, tmp_path):
@@ -304,6 +325,14 @@ def test_write_model_matches_json_dump(rng, tmp_path, offset, with_comp):
 LAYOUTS = {"spaced": json.dumps, "one-line": one_line_text}
 
 
+def numpy_arrays(path: Path) -> int:
+    """How many arrays of the model file NumPy parses: every weights and
+    data array, or none if one of them is not in write_model's layout."""
+    with path.open("rb") as fh:
+        split = modelio._split_model(fh)
+    return 0 if split is None else len(split[1])
+
+
 @pytest.mark.parametrize("layout", LAYOUTS)
 def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path, layout):
     net = Network([ConvLayer(rng.standard_normal((3, 2, 1, 1)), comp=np.eye(3))])
@@ -334,9 +363,12 @@ def test_schema2_arrays_hold_only_finite_int64_bit_patterns(rng, tmp_path, layou
         doc = json.loads(json.dumps(good))
         layer = doc["layers"][0]
         (layer if field == "weights" else layer["comp"])[field] = value
-        path.write_text(dump(doc))
-        # in write_model's layout, NumPy parses the array left unchanged
-        assert bool(modelio._slot_arrays(path.read_bytes())[1]) == (layout == "one-line")
+        content = dump(doc)
+        path.write_text(content)
+        # in write_model's layout, NumPy parses both arrays if the edited
+        # one is still canonical, else json parses the file
+        body = content[slice(*array_span(content, field))]
+        assert numpy_arrays(path) == (2 if layout == "one-line" and is_canonical(body) else 0)
         with pytest.raises(ModelIOError, match=f"layer 0: .*{message}"):
             read_model(path)
     # integers read as bit patterns, not as values
@@ -390,7 +422,7 @@ def model_outcome(path: Path):
 def reference_outcome(path: Path):
     """model_outcome with the document parsed by reference_model_doc."""
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(modelio, "_load_model", lambda raw: reference_model_doc(path))
+        patch.setattr(modelio, "_load_model", reference_model_doc)
         return model_outcome(path)
 
 
@@ -461,6 +493,27 @@ def edited_bodies(values: list[int]) -> dict[str, str]:
     return bodies
 
 
+def equivalence_files(text: str, field: str) -> dict[str, tuple[str, int]]:
+    """Edits of equivalence_model's text, and how many arrays NumPy parses
+    in each: both, or none if either is not in write_model's layout."""
+    start, end = array_span(text, field)
+    bodies = edited_bodies(json.loads(f"[{text[start:end]}]"))
+    files = {
+        name: (text[:start] + body + text[end:], 2 * is_canonical(body))
+        for name, body in bodies.items()
+    }
+    # a backslash anywhere sends every array to json
+    files["escape"] = (text.replace('"relu"', '"rel\\u0075"'), 0)
+    files["bad escape"] = (text.replace('"relu"', '"rel\\q"'), 0)
+    # NumPy parses only weights and data arrays
+    one_line_shape = re.sub(r'"input_shape": \[[^]]*\]', '"input_shape": [2,4,4]', text)
+    files["one-line input_shape"] = (one_line_shape, 2)
+    # json reports an error with the file's positions, not the skeleton's
+    files["bare string"] = (text.replace('"relu"', "relu"), 2)
+    files["end inside the array"] = (text[: (start + end) // 2], 0)
+    return files
+
+
 @pytest.mark.parametrize("numpy_raises", [True, False], ids=["numpy-raises", "numpy-warns"])
 @pytest.mark.parametrize("field", ["weights", "data"])
 def test_numpy_arrays_read_as_json_reads_them(tmp_path, field, numpy_raises):
@@ -487,20 +540,9 @@ def test_numpy_arrays_read_as_json_reads_them(tmp_path, field, numpy_raises):
 
     bodies = edited_bodies(json.loads(f"[{text[start:end]}]"))
     assert [name for name, body in bodies.items() if is_canonical(body)] == ["canonical", "zero"]
-    # each file, and how many arrays NumPy parses in it
-    files = {
-        name: (text[:start] + body + text[end:], 1 + is_canonical(body))
-        for name, body in bodies.items()
-    }
-    # a backslash anywhere sends every array to json
-    files["escape"] = (text.replace('"relu"', '"rel\\u0075"'), 0)
-    files["bad escape"] = (text.replace('"relu"', '"rel\\q"'), 0)
-    # NumPy parses only weights and data arrays
-    one_line_shape = re.sub(r'"input_shape": \[[^]]*\]', '"input_shape": [2,4,4]', text)
-    files["one-line input_shape"] = (one_line_shape, 2)
-    for name, (content, parsed) in files.items():
+    for name, (content, parsed) in equivalence_files(text, field).items():
         path.write_text(content)
-        assert len(modelio._slot_arrays(path.read_bytes())[1]) == parsed, name
+        assert numpy_arrays(path) == parsed, name
         expected = reference_outcome(path)
         with pytest.MonkeyPatch.context() as patch, warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -508,6 +550,22 @@ def test_numpy_arrays_read_as_json_reads_them(tmp_path, field, numpy_raises):
                 patch.setattr(np, "fromstring", warning_fromstring)
             assert model_outcome(path) == expected, name
         assert caught == [], name
+
+
+@pytest.mark.parametrize("chunk", [1, 5, 17, 64])
+@pytest.mark.parametrize("field", ["weights", "data"])
+def test_numpy_arrays_read_as_json_reads_them_across_blocks(tmp_path, monkeypatch, field, chunk):
+    """read_model reads the file _TEXT_CHUNK bytes at a time.  With each
+    file shifted by 0 to chunk - 1 leading spaces, every key, comma and
+    "]" falls at every offset of a block, and NumPy still parses the same
+    arrays, and read_model still gives what plain json gives."""
+    path, text = equivalence_model(tmp_path)
+    monkeypatch.setattr(modelio, "_TEXT_CHUNK", chunk)
+    for name, (content, parsed) in equivalence_files(text, field).items():
+        for shift in range(chunk):
+            path.write_text(" " * shift + content)
+            assert numpy_arrays(path) == parsed, (name, shift)
+            assert model_outcome(path) == reference_outcome(path), (name, shift)
 
 
 @settings(max_examples=150, deadline=None)
@@ -526,8 +584,10 @@ def test_numpy_arrays_read_as_json_reads_them(tmp_path, field, numpy_raises):
         ),
         max_size=3,
     ),
+    # the file in blocks of a few bytes, of 16, or whole
+    chunk=st.sampled_from([3, 16, modelio._TEXT_CHUNK]),
 )
-def test_numpy_arrays_read_as_json_reads_them_fuzz(field, values, edits, tmp_path_factory):
+def test_numpy_arrays_read_as_json_reads_them_fuzz(field, values, edits, chunk, tmp_path_factory):
     path, text = equivalence_model(tmp_path_factory.mktemp("equivalence"))
     start, end = array_span(text, field)
     array = "[" + ",".join(map(str, values[: len(json.loads(f"[{text[start:end]}]"))])) + "]"
@@ -542,10 +602,11 @@ def test_numpy_arrays_read_as_json_reads_them_fuzz(field, values, edits, tmp_pat
     content = text[: start - 1] + array + text[end + 1 :]
     path.write_text(content)
     body = array[1:-1]
-    if array[:1] + array[-1:] == "[]" and not re.search(r'[][\\"]', body):
-        slots = modelio._slot_arrays(path.read_bytes())[1]
-        assert len(slots) == 1 + is_canonical(body)
-    assert model_outcome(path) == reference_outcome(path)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(modelio, "_TEXT_CHUNK", chunk)
+        if array[:1] + array[-1:] == "[]" and not re.search(r'[][\\"]', body):
+            assert numpy_arrays(path) == 2 * is_canonical(body)
+        assert model_outcome(path) == reference_outcome(path)
 
 
 def test_schema1_reads_numbers_as_values(tmp_path):
@@ -852,6 +913,40 @@ def test_read_tensor_diagnostics(rng, tmp_path):
         read_tensor(path)
 
 
+def test_read_tensor_holds_the_payload_once(rng, tmp_path):
+    """The payload is read into the array returned: no copy of the file's
+    bytes, or of the array, is held beside it."""
+    path = tmp_path / "t.bin"
+    data = rng.standard_normal((8, 16, 64, 64))
+    write_tensor(data, path)
+    tracemalloc.start()
+    try:
+        back = read_tensor(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert back.dtype == np.float64 and back.flags.c_contiguous and back.flags.writeable
+    assert back.tobytes() == data.tobytes()
+    assert peak < 1.1 * data.nbytes, f"read_tensor peak {peak / data.nbytes:.2f}x the payload"
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs named pipes")
+def test_readers_read_a_pipe(rng, tmp_path):
+    """A pipe, as a shell's <(...) passes it, has no size: read_model and
+    read_tensor read it whole and give what the regular file gives."""
+    model, tensor, fifo = tmp_path / "m.json", tmp_path / "t.bin", tmp_path / "fifo"
+    write_model(rand_net(rng, [2, 3], k=3), (2, 4, 4), model)
+    write_tensor(rng.standard_normal((2, 2, 4, 4)), tensor)
+    os.mkfifo(fifo)
+    for path, outcome in [(model, model_outcome), (tensor, lambda p: read_tensor(p).tobytes())]:
+        writer = threading.Thread(target=lambda: fifo.write_bytes(path.read_bytes()))
+        writer.start()
+        try:
+            assert outcome(fifo) == outcome(path)
+        finally:
+            writer.join()
+
+
 def test_read_dataset_requires_rank4(rng, tmp_path):
     path = tmp_path / "d.bin"
     data = rng.standard_normal((5, 2, 4, 4))
@@ -1027,7 +1122,40 @@ def test_read_report_rejects_malformed_float_and_status_fields(
     small_report, tmp_path, where, value, message
 ):
     path = tmp_path / "r.json"
-    write_report(small_report, path)
+    write_edited_report(small_report, path, where, value)
+    with pytest.raises(ModelIOError, match=f"^malformed report file: {message}$"):
+        read_report(path)
+
+
+# (where in the report document, bad value, message after "malformed report
+# file: "): each would make heatmap_csv raise, or read a config that is no
+# PruneConfig, if read_report let it through
+MALFORMED_REPORT_SHAPES = [
+    (("config",), "x", "config must be an object, got 'x'"),
+    (("before",), 5, "before must be an object, got 5"),
+    (("after",), None, "after must be an object, got None"),
+    (("before", "params"), 1.5, "before params must be an integer, got 1.5"),
+    (("after", "flops"), "7", "after flops must be an integer, got '7'"),
+    (("before", "per_layer"), {}, "before per_layer must be a list, got {}"),
+    (("before", "per_layer", 0), 3, "before per_layer entry must be an object, got 3"),
+    (("before", "per_layer", 0, "out_channels"), 0, "before per_layer out_channels must be positive, got 0"),
+    (
+        ("before", "per_layer", 1, "out_channels"),
+        2.0,
+        "before per_layer out_channels must be an integer, got 2.0",
+    ),
+    (("after", "per_layer", 1, "width"), True, "after per_layer width must be an integer, got True"),
+    (("after", "per_layer", 1), "gone", "after per_layer entry must be an object, got 'gone'"),
+    (("rounds", 0, "errors"), [0.5], r"errors holds 1 entries, expected 2 \(one per layer\)"),
+    (("rounds", 1, "errors"), [None] * 3, r"errors holds 3 entries, expected 2 \(one per layer\)"),
+    (("rounds", 0, "retained"), [3], r"retained holds 1 entries, expected 2 \(one per layer\)"),
+    (("rounds", 0, "retained"), 3, "retained must be a list, got 3"),
+]
+
+
+def write_edited_report(report, path: Path, where: tuple, value) -> None:
+    """report as write_report writes it, with value at where in its document."""
+    write_report(report, path)
     doc = json.loads(path.read_text())
     *parents, leaf = where
     owner = doc
@@ -1035,8 +1163,35 @@ def test_read_report_rejects_malformed_float_and_status_fields(
         owner = owner[key]
     owner[leaf] = value
     path.write_text(json.dumps(doc))
+
+
+@pytest.mark.parametrize(
+    "where, value, message",
+    [
+        pytest.param(*case, id=f"{'.'.join(map(str, case[0]))}={case[1]!r}")
+        for case in MALFORMED_REPORT_SHAPES
+    ],
+)
+def test_read_report_rejects_malformed_stats_and_round_lengths(
+    small_report, tmp_path, where, value, message
+):
+    assert len(small_report.before["per_layer"]) == 2
+    path = tmp_path / "r.json"
+    write_edited_report(small_report, path, where, value)
     with pytest.raises(ModelIOError, match=f"^malformed report file: {message}$"):
         read_report(path)
+
+
+def test_read_report_requires_a_stats_entry_per_layer(small_report, tmp_path):
+    path = tmp_path / "r.json"
+    one_layer = small_report.after["per_layer"][:1]
+    write_edited_report(small_report, path, ("after", "per_layer"), one_layer)
+    message = "^malformed report file: after per_layer holds 1 layers, before 2$"
+    with pytest.raises(ModelIOError, match=message):
+        read_report(path)
+    # a report read without an error makes its heatmap
+    write_report(small_report, path)
+    assert heatmap_csv(read_report(path)) == heatmap_csv(small_report)
 
 
 def test_read_report_reads_json_ints_as_floats(small_report, tmp_path):
