@@ -132,7 +132,7 @@ def cmd_gen(args) -> int:
     modelio.write_model(net, input_shape, args.out_model)
     modelio.write_tensor(data, args.out_data)
     manifest_path = f"{args.out_model}.manifest.json"
-    with open(manifest_path, "w", encoding="utf-8") as fh:
+    with open(manifest_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(manifest, fh, sort_keys=True, indent=1)
         fh.write("\n")
     stats = count_stats(net, input_shape)

@@ -5,14 +5,18 @@ stores each weight and comp array as a flat row-major list of integers on
 one line: the little-endian bit pattern of each float64 value read as an
 int64, so every value round-trips exactly and no float is formatted or
 parsed as text.  A reader whose JSON numbers are doubles (JavaScript's, for
-one) must parse these values as 64-bit integers.  The writer streams each
-array to the file in bounded chunks, so it never holds a Python int per
-weight; everything else is one json.dumps(doc, sort_keys=True, indent=1) of
-the model.  The reader reads the file in blocks of at most 1 MiB.  Where
-every "weights" and "data" array is in that one-line layout, it parses each
-with np.fromstring, a piece cut at a comma at a time, so it neither holds
-the file's bytes whole nor makes a Python number per value; json parses
-the rest of the file, with a slot string in each array's place.  Any other
+one) must parse these values as 64-bit integers.  The writer encodes each
+array a block of at most _CHUNK values at a time, with NumPy: it splits
+each value's magnitude into a head and four 4-digit groups, looks each
+group up in a 10,000-entry table of 4-byte ASCII words, and deletes the NUL
+padding with one bytes.translate.  It writes the bytes json.dumps writes
+for the ints, but makes no Python int per weight.  Everything else is one
+json.dumps(doc, sort_keys=True, indent=1) of the model.  The reader reads
+the file in blocks of at most 1 MiB.  Where every "weights" and "data"
+array is in that one-line layout, it parses each with np.fromstring, a
+piece cut at a comma at a time, so it neither holds the file's bytes whole
+nor makes a Python number per value; json parses the rest of the file,
+with a slot string in each array's place.  Any other
 file (schema 1's lists of floats, a re-indented or spaced list, "-0" or a
 leading zero, an int beyond int64 or at its limits, a backslash anywhere,
 text that is not UTF-8 JSON) is read whole and parsed by json, which turns
@@ -25,8 +29,9 @@ u32 dims, then the float64 payload in row-major order, which the reader
 reads straight into its array.  Reports echo the run configuration, every
 committed round, and the per-round heatmap table as embedded CSV; the
 encoder is deterministic (sorted keys, no timestamps) so identical runs
-produce byte-identical files.  The report reader checks each field's type,
-and that each round has one errors and one retained entry per layer.
+produce byte-identical files.  Models and reports have "\n" line ends on
+every platform.  The report reader checks each field's type, and that each
+round has one errors and one retained entry per layer.
 """
 from __future__ import annotations
 
@@ -52,11 +57,28 @@ MODEL_SCHEMA_VERSION = 2
 REPORT_SCHEMA_VERSION = 1
 TENSOR_MAGIC = b"PKT1"
 _U32_MAX = 2**32 - 1
-# write_model streams every array _CHUNK values at a time.  In the document
-# json formats, an array is a string: _ARRAY_SLOT and its index.
+# write_model streams every array _CHUNK values at a time, or fewer.  In
+# the document json formats, an array is a string: _ARRAY_SLOT and its index.
 _CHUNK = 4096
 _ARRAY_SLOT = "\0array"
 _SLOT_TEXT = re.compile(r'"\\u0000array(\d+)"')
+# _encode_bits splits a magnitude with these divisors (typed scalars, which
+# NumPy divides by fast), and writes it as words of 4 ASCII bytes
+_E16, _E8, _E4 = np.uint64(10**16), np.uint64(10**8), np.uint32(10**4)
+_MINUS, _COMMA, _ZERO = np.frombuffer(b"-\0\0\0" b",\0\0\0" b"0\0\0\0", np.uint32)
+
+
+def _group_words(leading_zero: int) -> np.ndarray:
+    """The word of each group 0 to 9999: its 4 decimal digits, with the
+    byte leading_zero in place of each leading zero ("0" is all four)."""
+    values = np.arange(10**4)[:, None]
+    places = 10 ** np.arange(3, -1, -1)
+    text = np.where(values < places, leading_zero, values // places % 10 + ord("0"))
+    return text.astype(np.uint8).view(np.uint32).ravel()
+
+
+_DIGITS = _group_words(ord("0"))
+_LEADING = _group_words(0)
 # read_model reads a model file _TEXT_CHUNK bytes at a time, and puts a
 # slot, as json.dumps writes it, in place of each array after _ARRAY_KEY
 # that it parses itself.  A key cut by a block's end lies in its last
@@ -112,20 +134,79 @@ def _layer_to_json(layer: ConvLayer, arrays: list[np.ndarray]) -> dict:
     return entry
 
 
+def _blocks(arr: np.ndarray):
+    """arr's values in row-major order, as contiguous "<f8" blocks of at
+    most _CHUNK values.
+
+    A block is whole rows of arr's leading axis (of a row's leading axis,
+    if a row is longer), so a strided view is copied with one strided copy
+    per block.
+    """
+    row = max(math.prod(arr.shape[1:]), 1)
+    if row > _CHUNK:
+        for sub in arr:
+            yield from _blocks(sub)
+        return
+    step = _CHUNK // row
+    for start in range(0, len(arr), step):
+        yield np.ascontiguousarray(arr[start : start + step], dtype="<f8").reshape(-1)
+
+
+def _encode_bits(block: np.ndarray) -> bytes:
+    """The int64 bit pattern of each value of block, a contiguous "<f8"
+    array, in decimal ASCII as str() writes it, and a comma after each.
+
+    Each value is laid out as 6 words of 4 bytes, where a NUL fills each
+    unused byte: its sign and head, four 4-digit groups, and a comma; one
+    translate deletes the NULs.  A magnitude is at most 2**63 < 10**19, so
+    its head (its digits above 10**16) is below 10**3, and the first byte
+    of the head's word is free for the sign.
+    """
+    bits = block.view("<i8")
+    # INT64_MIN (the bits of -0.0) has no int64 magnitude: abs wraps it to
+    # itself, which is 2**63 as uint64
+    magnitude = np.abs(bits).view(np.uint64)
+    head = magnitude // _E16
+    rest = magnitude - head * _E16
+    high = rest // _E8
+    halves = np.empty((bits.size, 2), np.uint32)
+    halves[:, 0] = high
+    halves[:, 1] = rest - high * _E8
+    groups = np.empty((bits.size, 4), np.uint32)
+    groups[:, 0::2] = halves // _E4
+    groups[:, 1::2] = halves - groups[:, 0::2] * _E4
+    words = np.empty((bits.size, 6), np.uint32)
+    words[:, 0] = _LEADING.take(head) | (bits < 0) * _MINUS
+    words[:, 1:5] = _DIGITS.take(groups)
+    words[:, 5] = _COMMA
+    small = np.flatnonzero(head == 0)
+    if small.size:
+        # below 10**16 (zeros and subnormals), the groups up to the first
+        # nonzero one have no leading zeros, and 0 is "0"
+        groups = groups[small]
+        zeros = np.logical_and.accumulate(groups == 0, axis=1)
+        leading = np.ones_like(zeros)
+        leading[:, 1:] = zeros[:, :-1]
+        digits = np.where(leading, _LEADING.take(groups), _DIGITS.take(groups))
+        digits[zeros[:, -1], -1] = _ZERO
+        words[small, 1:5] = digits
+    return words.tobytes().translate(None, b"\0")
+
+
 def _write_bits(fh, arr: np.ndarray) -> None:
     """arr's values in row-major order, as the one-line JSON list of their
-    int64 bit patterns that json.dumps(ints, separators=(",", ":")) writes.
+    int64 bit patterns that json.dumps(ints, separators=(",", ":")) writes,
+    to the binary file fh.
 
-    Only _CHUNK Python ints exist at a time.
+    It encodes a block of _CHUNK values or fewer at a time with NumPy table
+    lookups, and makes no Python int per value.
     """
-    fh.write("[")
-    for start in range(0, arr.size, _CHUNK):
-        if start:
-            fh.write(",")
-        chunk = np.ascontiguousarray(arr.flat[start : start + _CHUNK], dtype="<f8")
-        # json's C encoder formats ints faster than a str() per value
-        fh.write(json.dumps(chunk.view("<i8").tolist(), separators=(",", ":"))[1:-1])
-    fh.write("]")
+    fh.write(b"[")
+    text = b""
+    for block in _blocks(arr):
+        fh.write(text)
+        text = _encode_bits(block)
+    fh.write(text[:-1] + b"]")
 
 
 def _arrays_hook(obj: dict) -> dict:
@@ -351,11 +432,11 @@ def write_model(net: Network, input_shape: tuple[int, int, int], path) -> None:
     # json formats everything but the arrays; each slot's list goes where
     # json put its string
     pieces = _SLOT_TEXT.split(json.dumps(doc, sort_keys=True, indent=1))
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "wb") as fh:
         for text, index in zip(pieces[::2], pieces[1::2]):
-            fh.write(text)
+            fh.write(text.encode("utf-8"))
             _write_bits(fh, arrays[int(index)])
-        fh.write(pieces[-1] + "\n")
+        fh.write((pieces[-1] + "\n").encode("utf-8"))
 
 
 def _parse_json(raw: bytes, kind: str, object_hook=None):
@@ -624,7 +705,7 @@ def write_report(report: PruneReport, path) -> None:
         "flops_drop_pct": report.flops_drop_pct,
         "heatmap_csv": heatmap_csv(report),
     }
-    with open(path, "w", encoding="utf-8") as fh:
+    with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(doc, fh, sort_keys=True, indent=1)
         fh.write("\n")
 

@@ -1,7 +1,10 @@
 """Command-line interface, exercised in process through cli.main."""
 from __future__ import annotations
 
+import _pyio
+import builtins
 import json
+import os
 
 import numpy as np
 import pytest
@@ -134,6 +137,35 @@ def test_prune_reports_are_byte_identical(workspace):
     assert run(*argv("b")) == 0
     assert (tmp_path / "outa.json").read_bytes() == (tmp_path / "outb.json").read_bytes()
     assert (tmp_path / "repa.json").read_bytes() == (tmp_path / "repb.json").read_bytes()
+
+
+def test_files_have_the_same_bytes_on_any_platform(workspace, monkeypatch):
+    """gen and prune write "\n" line ends whatever os.linesep is, where a
+    file opened in text mode writes os.linesep ("\r\n" on Windows) for each
+    "\n".  The pure-Python io, which reads os.linesep when it opens a text
+    file, stands in for a Windows build."""
+    tmp_path, model, data = workspace
+    argv = lambda tag: [
+        "prune", "--model", str(tmp_path / f"model{tag}.json"), "--data", str(data),
+        "--beta", "0.3", "--alpha", "2",
+        "--out", str(tmp_path / f"out{tag}.json"),
+        "--report", str(tmp_path / f"rep{tag}.json"),
+    ]
+    assert run(*argv("")) == 0
+    monkeypatch.setattr(os, "linesep", "\r\n")
+    monkeypatch.setattr(builtins, "open", _pyio.open)
+    code = run(
+        "gen", "--layers", "3", "--channels", "8", "--kernel", "3",
+        "--redundancy", "0.5", "--examples", "4", "--seed", "1",
+        "--out-model", str(tmp_path / "model_crlf.json"),
+        "--out-data", str(tmp_path / "data_crlf.bin"),
+    )
+    assert code == 0
+    assert run(*argv("_crlf")) == 0
+    monkeypatch.undo()
+    for name in ("model{}.json", "model{}.json.manifest.json", "out{}.json", "rep{}.json"):
+        written = (tmp_path / name.format("_crlf")).read_bytes()
+        assert written == (tmp_path / name.format("")).read_bytes(), name
 
 
 def test_partial_run_exits_3(workspace, capsys):

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays, array_shapes
 
@@ -112,11 +113,16 @@ def test_read_model_peak_is_bounded_by_the_text(tmp_path):
     assert peak < 3 * size, f"read_model peak {peak / size:.2f}x the file size"
 
 
+def wide_network() -> Network:
+    """Three 128x128 3x3 layers: a 9.1 MB model file."""
+    rng = np.random.default_rng(0)
+    return Network([ConvLayer(rng.standard_normal((128, 128, 3, 3))) for _ in range(3)])
+
+
 def test_read_model_peak_is_below_the_file_size(tmp_path):
     """read_model holds a block of the file at a time, not the file: for
     a model of 8 MiB or more its peak is below the file's size."""
-    rng = np.random.default_rng(0)
-    layers = [ConvLayer(rng.standard_normal((128, 128, 3, 3))) for _ in range(3)]
+    layers = wide_network().layers
     path = tmp_path / "model.json"
     write_model(Network(layers), (128, 8, 8), path)
     size = path.stat().st_size
@@ -129,6 +135,22 @@ def test_read_model_peak_is_below_the_file_size(tmp_path):
         tracemalloc.stop()
     assert all(a.weights.tobytes() == b.weights.tobytes() for a, b in zip(layers, net.layers))
     assert peak < size, f"read_model peak {peak / size:.2f}x the file size"
+
+
+def test_write_model_peak_is_bounded(tmp_path):
+    """write_model encodes _CHUNK values or fewer at a time: its peak is a
+    small share of the file it writes."""
+    net = wide_network()
+    path = tmp_path / "model.json"
+    tracemalloc.start()
+    try:
+        write_model(net, (128, 8, 8), path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    size = path.stat().st_size
+    assert size >= 8 * 2**20
+    assert peak < size / 4, f"write_model peak {peak / size:.2f}x the file size"
 
 
 def test_schema_version_is_a_json_integer(rng, small_report, tmp_path):
@@ -317,6 +339,73 @@ def test_write_model_matches_json_dump(rng, tmp_path, offset, with_comp):
     path = tmp_path / "m.json"
     write_model(net, (1, 5, 6), path)
     assert path.read_text(encoding="utf-8") == reference_model_text(net, (1, 5, 6))
+
+
+INT64 = np.iinfo(np.int64)
+# bit patterns at the edges of _encode_bits: INT64_MIN (-0.0), 0, the
+# smallest and largest subnormal of either sign, and each power of ten it
+# splits at with the value below it, of either sign
+EDGE_BITS = (
+    [INT64.min, 0]
+    + np.array([5e-324, -5e-324, 2.225073858507201e-308, -2.225073858507201e-308])
+    .view(np.int64)
+    .tolist()
+    + [sign * (10**p + d) for p in (4, 8, 16, 18) for d in (-1, 0) for sign in (1, -1)]
+)
+
+
+def bit_patterns():
+    """int64 bit patterns of each digit count from 1 to 19, of either sign."""
+    magnitudes = st.integers(1, 19).flatmap(
+        lambda digits: st.integers(10 ** (digits - 1), min(10**digits - 1, INT64.max))
+    )
+    return st.tuples(magnitudes, st.booleans()).map(lambda v: -v[0] if v[1] else v[0])
+
+
+def assert_written_as_json(arr: np.ndarray, bits: np.ndarray) -> None:
+    """_write_bits writes arr as json writes the ints of bits."""
+    fh = io.BytesIO()
+    modelio._write_bits(fh, arr)
+    expected = json.dumps(bits.tolist(), separators=(",", ":"))
+    # value by value, so that a failure names the first value that differs
+    # without a diff of the whole text
+    assert fh.getvalue().decode("ascii").split(",") == expected.split(",")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    patterns=st.lists(bit_patterns(), min_size=1, max_size=64),
+    offset=st.sampled_from([-1, 0, 1]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_write_bits_matches_json_dump(patterns, offset, seed):
+    """The edge patterns and the drawn ones, repeated to chunk-1, chunk or
+    chunk+1 values and shuffled, as json writes them."""
+    bits = np.resize(np.array(EDGE_BITS + patterns, dtype=np.int64), modelio._CHUNK + offset)
+    np.random.default_rng(seed).shuffle(bits)
+    assert_written_as_json(bits.view(np.float64), bits)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    patterns=st.lists(bit_patterns(), min_size=1, max_size=64),
+    n=st.integers(1, 16),
+    m=st.integers(2, 600),
+    k=st.sampled_from([1, 3]),
+)
+@example(patterns=[1], n=2, m=500, k=3)  # filters of 4500 values > _CHUNK
+@example(patterns=[1], n=16, m=600, k=1)  # 9600 values in whole rows
+def test_write_bits_of_a_weight_bank(patterns, n, m, k):
+    """A layer's weights are a transposed view of its GEMM matrix for K > 1
+    (not C-contiguous for m > 1) and a contiguous array for K = 1; either is
+    written in row-major order, also where a filter holds more than _CHUNK
+    values."""
+    bits = np.resize(np.array(EDGE_BITS + patterns, dtype=np.int64), n * m * k * k)
+    # an inf or NaN pattern with bit 62 flipped is a finite one
+    bits[~np.isfinite(bits.view(np.float64))] ^= np.int64(1 << 62)
+    weights = ConvLayer(bits.view(np.float64).reshape(n, m, k, k)).weights
+    assert weights.flags.c_contiguous == (k == 1)
+    assert_written_as_json(weights, bits)
 
 
 # a model document as json.dumps writes it by default, with ", " between
