@@ -223,6 +223,8 @@ def check_dataset(net: Network, data: np.ndarray) -> np.ndarray:
         raise DimensionError(f"dataset must be (N, channels, H, W), got {data.shape}")
     if data.shape[0] == 0:
         raise DimensionError("dataset is empty")
+    if 0 in data.shape[2:]:
+        raise DimensionError(f"dataset images must be non-empty, got shape {data.shape}")
     if data.shape[1] != net.in_channels:
         raise DimensionError(
             f"network expects {net.in_channels} input channels, dataset has {data.shape[1]}"

@@ -36,10 +36,14 @@ restores a dropped input of layer k with one conv.  Reused values are the
 very arrays and floats the same computation produced, so results are
 exactly those of a full recompute.
 
-Every driver runs the same round loop and commits through the same
-bookkeeping, so their reports are directly comparable: hbgs and hbgts take
-the argmin of their scores, the random baseline draws a seeded layer, and
-the uniform baseline commits all of its layers in a single round.
+Every driver builds one _RoundLoop, which checks the dataset once, caches
+each layer's candidate, numbers the rounds from 1 and records each commit,
+so their reports are directly comparable.  Each round a pick returns the
+chosen layer, the errors, the forward passes and the skipped references,
+and the loop commits its own cached candidate for that layer.  hbgs and
+hbgts pick the argmin of a score that returns (errors, skips); the random
+baseline draws a seeded layer; the uniform baseline commits all of its
+layers in a single round.
 """
 from __future__ import annotations
 
@@ -439,14 +443,13 @@ class _RoundLoop:
 
     def commit(
         self,
-        t: int,
         chosen: int | None,
         pruned: dict[int, ConvLayer],
         errors: np.ndarray,
         passes: int,
         skips: int,
     ) -> None:
-        """Swap in the pruned layers and record the round."""
+        """Swap in the pruned layers and record the round, numbered from 1."""
         self.net = Network(
             [pruned.get(c, layer) for c, layer in enumerate(self.net.layers)]
         )
@@ -454,7 +457,7 @@ class _RoundLoop:
             self.cache.pop(c, None)
         self.rounds.append(
             PruneRound(
-                t=t,
+                t=len(self.rounds) + 1,
                 errors=tuple(float(e) for e in errors),
                 chosen_layer=chosen,
                 retained=tuple(l.out_channels for l in self.net.layers),
@@ -468,44 +471,34 @@ class _RoundLoop:
         return PruneResult(self.net, tuple(self.rounds), status)
 
 
-# pick(loop, t, eligible) -> (chosen layer, candidates, errors, passes, skips)
-Pick = Callable[
-    [_RoundLoop, int, list[int]],
-    tuple[int, list[ConvLayer | None], np.ndarray, int, int],
-]
+# pick(loop, eligible) -> (chosen layer, errors, passes, skips); the loop
+# commits its cached candidate for the chosen layer
+Pick = Callable[[_RoundLoop, list[int]], tuple[int, np.ndarray, int, int]]
 
 
-def _run_rounds(
-    net: Network,
-    data: np.ndarray,
-    cfg: PruneConfig,
-    pick: Pick,
-) -> PruneResult:
-    """Commit the picked layer's candidate each round until beta is reached."""
-    loop = _RoundLoop(net, data, cfg)
-    t = 0
-    while loop.reduction() < cfg.beta:
+def _run_rounds(loop: _RoundLoop, pick: Pick) -> PruneResult:
+    """Commit the picked layer's cached candidate each round until beta is reached."""
+    while loop.reduction() < loop.cfg.beta:
         eligible = loop.eligible()
         if not eligible:
             return loop.result("partial")
-        t += 1
-        chosen, candidates, errors, passes, skips = pick(loop, t, eligible)
-        pruned = {chosen: candidates[chosen]}
-        loop.commit(t, chosen, pruned, errors, passes, skips)
+        chosen, errors, passes, skips = pick(loop, eligible)
+        loop.commit(chosen, {chosen: loop.cache[chosen]}, errors, passes, skips)
     return loop.result("reached")
 
 
 def _argmin(score) -> Pick:
     """A pick that scores every eligible candidate and takes the cheapest.
 
-    score(loop, candidates, eligible) returns (errors, passes, skips).
+    score(loop, candidates, eligible) returns (errors, skips).  Every
+    example is scored, so the round records len(loop.data) forward passes.
+    Every scored round of hbgs and hbgts passes through this pick.
     """
 
-    def pick(loop: _RoundLoop, t: int, eligible: list[int]):
-        candidates = loop.candidates(eligible)
-        errors, passes, skips = score(loop, candidates, eligible)
+    def pick(loop: _RoundLoop, eligible: list[int]):
+        errors, skips = score(loop, loop.candidates(eligible), eligible)
         chosen = int(np.argmin(errors))  # ties -> smallest layer index
-        return chosen, candidates, errors, passes, skips
+        return chosen, errors, len(loop.data), skips
 
     return pick
 
@@ -525,11 +518,11 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     and scores run on the caller plus one helper thread, one example per
     thread, with results identical to a serial pass.
     """
-    data = check_dataset(net, data)
-    refs = collect_layer_outputs(net, data)
+    loop = _RoundLoop(net, data, cfg)
+    refs = collect_layer_outputs(net, loop.data)
     ref_norms = _norms(refs)
     zero_refs = [sum(norms[c] == 0.0 for norms in ref_norms) for c in range(len(net))]
-    chains = [[x, *per_layer[:-1]] for x, per_layer in zip(data, refs)]
+    chains = [[x, *per_layer[:-1]] for x, per_layer in zip(loop.data, refs)]
 
     def score(loop: _RoundLoop, candidates, eligible):
         last = loop.rounds[-1] if loop.rounds else None
@@ -539,11 +532,11 @@ def hbgs(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
             for chain in chains:
                 del chain[k + 1 :]
         todo = [None] * k + candidates[k:]
-        errors = relative_error_hbgs(loop.net, todo, data, refs, chains, ref_norms)
+        errors = relative_error_hbgs(loop.net, todo, loop.data, refs, chains, ref_norms)
         errors[:k] = kept
-        return errors, len(data), sum(zero_refs[c] for c in eligible)
+        return errors, sum(zero_refs[c] for c in eligible)
 
-    return _run_rounds(net, data, cfg, _argmin(score))
+    return _run_rounds(loop, _argmin(score))
 
 
 def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
@@ -568,20 +561,21 @@ def hbgts(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
         errors = np.full(len(candidates), math.inf)
         for c in eligible:  # same references, so the same skips for every c
             errors[c], skips = _relative_sum(refs, tree.columns[c][-1], ref_norms)
-        return errors, len(loop.data), skips
+        return errors, skips
 
-    return _run_rounds(net, data, cfg, _argmin(score))
+    return _run_rounds(_RoundLoop(net, data, cfg), _argmin(score))
 
 
 def random_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
     """Rounds like the greedy drivers, but the layer is drawn at random."""
 
-    def pick(loop: _RoundLoop, t: int, eligible: list[int]):
+    def pick(loop: _RoundLoop, eligible: list[int]):
+        t = len(loop.rounds) + 1  # the number commit gives this round
         chosen = int(np.random.default_rng([cfg.seed, t]).choice(eligible))
-        errors = np.full(len(loop.net), math.inf)
-        return chosen, loop.candidates([chosen]), errors, 0, 0
+        loop.candidates([chosen])  # builds only this layer's candidate, to commit
+        return chosen, np.full(len(loop.net), math.inf), 0, 0
 
-    return _run_rounds(net, data, cfg, pick)
+    return _run_rounds(_RoundLoop(net, data, cfg), pick)
 
 
 def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneResult:
@@ -599,8 +593,7 @@ def uniform_baseline(net: Network, data: np.ndarray, cfg: PruneConfig) -> PruneR
         blocked |= n_keep > target
         if n_keep < n:
             pruned[c] = candidate_for_layer(layer, n - n_keep, cfg.fp_method)
-    errors = np.full(len(net), math.inf)
-    loop.commit(1, None, pruned, errors, 0, 0)
+    loop.commit(None, pruned, np.full(len(net), math.inf), 0, 0)
     return loop.result("partial" if blocked else "reached")
 
 

@@ -236,6 +236,9 @@ def test_check_dataset(rng):
         check_dataset(net, np.empty((0, 3, 6, 6)))
     with pytest.raises(DimensionError):
         check_dataset(net, rng.standard_normal((5, 3, 6)))
+    for hw in [(0, 6), (6, 0), (0, 0)]:
+        with pytest.raises(DimensionError, match="images must be non-empty"):
+            check_dataset(net, np.empty((5, 3, *hw)))
 
 
 def test_activation_helper():

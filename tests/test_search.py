@@ -1208,13 +1208,44 @@ def test_prune_config_validation():
                 PruneConfig(beta=0.5, **{name: bad})
 
 
-def test_drivers_validate_data_shape(rng):
+@pytest.mark.parametrize("selector", list(search.DRIVERS))
+@pytest.mark.parametrize(
+    "shape, message",
+    [((2, 2, 4, 4), "3 input channels"), ((2, 3, 0, 4), "images must be non-empty")],
+    ids=["channels", "zero-height"],
+)
+def test_drivers_validate_data_shape(rng, selector, shape, message, monkeypatch):
     net = rand_net(rng, [3, 6], k=3)
-    bad = rng.standard_normal((2, 2, 4, 4))
-    with pytest.raises(DimensionError):
-        hbgts(net, bad, PruneConfig(beta=0.3))
-    with pytest.raises(DimensionError):
-        uniform_baseline(net, bad, PruneConfig(beta=0.3, selector="uniform"))
+    cfg = PruneConfig(beta=0.3, selector=selector)
+    calls = conv_log(monkeypatch)
+    with pytest.raises(DimensionError, match=message):
+        search.DRIVERS[selector](net, np.ones(shape), cfg)
+    assert calls == []  # raised before any conv
+
+
+@pytest.mark.parametrize("selector", list(search.DRIVERS))
+def test_round_record(rng, selector, monkeypatch):
+    net = rand_net(rng, [3, 8, 8, 8], k=3, activation="relu")
+    data = rng.standard_normal((3, 3, 4, 4))
+    commit = search._RoundLoop.commit
+    committed = []
+
+    def checked_commit(loop, chosen, pruned, *args):
+        if chosen is not None:  # the layer is the very candidate the loop cached
+            assert pruned[chosen] is loop.cache[chosen]
+            committed.append(chosen)
+        commit(loop, chosen, pruned, *args)
+
+    monkeypatch.setattr(search._RoundLoop, "commit", checked_commit)
+    res = run_selector(net, data, PruneConfig(beta=0.4, alpha=2, selector=selector))
+    assert [r.t for r in res.rounds] == list(range(1, len(res.rounds) + 1))
+    passes = len(data) if selector in ("hbgs", "hbgts") else 0
+    assert [r.forward_passes for r in res.rounds] == [passes] * len(res.rounds)
+    if selector == "uniform":
+        assert len(res.rounds) == 1 and committed == []
+    else:
+        assert len(res.rounds) > 1
+        assert committed == [r.chosen_layer for r in res.rounds]
 
 
 def test_relative_output_error_identity(rng):
@@ -1225,6 +1256,15 @@ def test_relative_output_error_identity(rng):
     assert skips == 0
     total, skips = relative_output_error(net, net, np.zeros((2, 2, 4, 4)))
     assert skips == 2
+
+
+def test_relative_output_error_rejects_empty_images(rng, monkeypatch):
+    net = rand_net(rng, [4, 5, 3], k=3, activation="relu")
+    calls = conv_log(monkeypatch)
+    # examples with no pixels are not zero-norm references: nothing is measured
+    with pytest.raises(DimensionError, match="images must be non-empty"):
+        relative_output_error(net, net, np.zeros((3, 4, 0, 5)))
+    assert calls == []
 
 
 @pytest.mark.parametrize("width", [1, 2])
