@@ -176,8 +176,8 @@ def cmd_prune(args) -> int:
     if args.report:
         modelio.write_report(report, args.report)
     before, after = report.before, report.after
-    params = _signed_change(before["params"], after["params"], report.param_drop_pct)
-    flops = _signed_change(before["flops"], after["flops"], report.flops_drop_pct)
+    params = _signed_change(before.params, after.params, report.param_drop_pct)
+    flops = _signed_change(before.flops, after.flops, report.flops_drop_pct)
     print(
         f"prune: {cfg.selector}/{cfg.fp_method} status={result.status} "
         f"rounds={len(result.rounds)} params {params} flops {flops} -> {args.out}"

@@ -30,8 +30,10 @@ reads straight into its array.  Reports echo the run configuration, every
 committed round, and the per-round heatmap table as embedded CSV; the
 encoder is deterministic (sorted keys, no timestamps) so identical runs
 produce byte-identical files.  Models and reports have "\n" line ends on
-every platform.  The report reader checks each field's type, and that each
-round has one errors and one retained entry per layer.
+every platform.  A report holds the run's own PruneConfig, ModelStats and
+PruneRounds.  Its reader checks each field's type, rebuilds the config
+through PruneConfig, and checks that each round has one errors and one
+retained entry per layer.
 """
 from __future__ import annotations
 
@@ -49,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .metrics import ModelStats, count_stats, reduction_report
+from .metrics import LayerStats, ModelStats, count_stats, reduction_report
 from .nets import ConvLayer, DimensionError, Network
 from .search import PruneConfig, PruneResult, PruneRound
 
@@ -511,6 +513,8 @@ def write_tensor(arr: np.ndarray, path) -> None:
     arr = np.asarray(arr, dtype=np.float64)
     if arr.ndim == 0:
         raise TensorFormatError("rank-0 tensors are not supported")
+    if arr.size == 0:
+        raise TensorFormatError(f"empty dimensions {arr.shape}")  # as read_tensor says
     if any(d > _U32_MAX for d in arr.shape) or arr.ndim > _U32_MAX:
         raise TensorFormatError(f"dimensions {arr.shape} overflow the container")
     header = struct.pack("<4sI", TENSOR_MAGIC, arr.ndim)
@@ -575,29 +579,13 @@ def read_dataset(path) -> np.ndarray:
 
 @dataclass(frozen=True)
 class PruneReport:
-    config: dict
+    config: PruneConfig
     status: str
     rounds: tuple[PruneRound, ...]
-    before: dict
-    after: dict
+    before: ModelStats
+    after: ModelStats
     param_drop_pct: float
     flops_drop_pct: float
-
-
-def _stats_dict(stats: ModelStats) -> dict:
-    return {
-        "params": stats.params,
-        "flops": stats.flops,
-        "per_layer": [
-            {
-                "params": s.params,
-                "flops": s.flops,
-                "out_channels": s.out_channels,
-                "width": s.width,
-            }
-            for s in stats.per_layer
-        ],
-    }
 
 
 def build_report(
@@ -610,11 +598,11 @@ def build_report(
     after = count_stats(result.network, input_shape)
     drops = reduction_report(before, after)
     return PruneReport(
-        config=dataclasses.asdict(cfg),
+        config=cfg,
         status=result.status,
         rounds=result.rounds,
-        before=_stats_dict(before),
-        after=_stats_dict(after),
+        before=before,
+        after=after,
         param_drop_pct=drops.param_drop_pct,
         flops_drop_pct=drops.flops_drop_pct,
     )
@@ -656,25 +644,30 @@ def _round_from_json(entry: dict, layers: int) -> PruneRound:
     )
 
 
-def _stats_from_json(stats, what: str) -> dict:
-    """A before or after entry as _stats_dict writes it: integer params and
-    flops, and per_layer entries with integer fields, out_channels >= 1."""
+def _stats_from_json(stats, what: str) -> ModelStats:
+    """A ModelStats from a before or after entry: integer params and flops,
+    and per_layer entries with integer fields, out_channels >= 1."""
     if not isinstance(stats, dict):
         raise ModelIOError(f"{what} must be an object, got {stats!r}")
-    _int_field(stats["params"], f"{what} params")
-    _int_field(stats["flops"], f"{what} flops")
+    params = _int_field(stats["params"], f"{what} params")
+    flops = _int_field(stats["flops"], f"{what} flops")
     per_layer = stats["per_layer"]
     if not isinstance(per_layer, list):
         raise ModelIOError(f"{what} per_layer must be a list, got {per_layer!r}")
+    layers = []
     for entry in per_layer:
         if not isinstance(entry, dict):
             raise ModelIOError(f"{what} per_layer entry must be an object, got {entry!r}")
-        for key in ("params", "flops", "width"):
-            _int_field(entry[key], f"{what} per_layer {key}")
-        channels = _int_field(entry["out_channels"], f"{what} per_layer out_channels")
-        if channels < 1:
-            raise ModelIOError(f"{what} per_layer out_channels must be positive, got {channels}")
-    return stats
+        values = {
+            f.name: _int_field(entry[f.name], f"{what} per_layer {f.name}")
+            for f in dataclasses.fields(LayerStats)
+        }
+        if values["out_channels"] < 1:
+            raise ModelIOError(
+                f"{what} per_layer out_channels must be positive, got {values['out_channels']}"
+            )
+        layers.append(LayerStats(**values))
+    return ModelStats(params, flops, tuple(layers))
 
 
 def heatmap_csv(report: PruneReport) -> str:
@@ -683,7 +676,7 @@ def heatmap_csv(report: PruneReport) -> str:
     Layers are numbered from 1; rows are sorted by (round, layer).  Layers
     without a finite error that round print "inf".
     """
-    originals = [entry["out_channels"] for entry in report.before["per_layer"]]
+    originals = [layer.out_channels for layer in report.before.per_layer]
     lines = ["round,layer,relative_error,pruned_percent"]
     for r in sorted(report.rounds, key=lambda r: r.t):
         for c, n0 in enumerate(originals):
@@ -696,11 +689,11 @@ def heatmap_csv(report: PruneReport) -> str:
 def write_report(report: PruneReport, path) -> None:
     doc = {
         "schema_version": REPORT_SCHEMA_VERSION,
-        "config": report.config,
+        "config": dataclasses.asdict(report.config),
         "status": report.status,
         "rounds": [_round_to_json(r) for r in report.rounds],
-        "before": report.before,
-        "after": report.after,
+        "before": dataclasses.asdict(report.before),
+        "after": dataclasses.asdict(report.after),
         "param_drop_pct": report.param_drop_pct,
         "flops_drop_pct": report.flops_drop_pct,
         "heatmap_csv": heatmap_csv(report),
@@ -722,15 +715,16 @@ def read_report(path) -> PruneReport:
             raise ModelIOError(f"config must be an object, got {config!r}")
         if status not in ("reached", "partial"):
             raise ModelIOError(f'status must be "reached" or "partial", got {status!r}')
+        cfg = PruneConfig(**config)
         before = _stats_from_json(doc["before"], "before")
         after = _stats_from_json(doc["after"], "after")
-        layers = len(before["per_layer"])
-        if len(after["per_layer"]) != layers:
+        layers = len(before.per_layer)
+        if len(after.per_layer) != layers:
             raise ModelIOError(
-                f"after per_layer holds {len(after['per_layer'])} layers, before {layers}"
+                f"after per_layer holds {len(after.per_layer)} layers, before {layers}"
             )
         return PruneReport(
-            config=config,
+            config=cfg,
             status=status,
             rounds=tuple(_round_from_json(r, layers) for r in doc["rounds"]),
             before=before,

@@ -16,7 +16,7 @@ from .compensation import apply_pruning, compensate_output
 from .nets import ConvLayer, Network, conv_forward, forward_all_layers
 from .search import candidate_for_layer, propagate_tree
 from .selection import (
-    _argmin_tied,
+    TIE_SLACK,
     default_ridge,
     downdate_gram,
     elimination_scores,
@@ -194,7 +194,9 @@ def backward_suite(seed: int = 20240804, trials: int = 50) -> SuiteResult:
                     for k in range(len(keep))
                 ]
             )
-            expect = keep[_argmin_tied(errors, scale)]
+            # the tie rule: the smallest index within TIE_SLACK * scale of the minimum
+            tied = np.flatnonzero(errors <= errors.min() + TIE_SLACK * scale)
+            expect = keep[int(tied[0])]
             if expect != removed:
                 mismatch = True
                 break

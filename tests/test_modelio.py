@@ -1,6 +1,7 @@
 """File formats: model JSON, binary tensors, prune reports."""
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import io
 import json
@@ -967,6 +968,15 @@ def test_write_tensor_rejects_rank0(tmp_path):
         write_tensor(np.float64(3.0), tmp_path / "t.bin")
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (2, 0, 4), (0,)])
+def test_write_tensor_rejects_empty_dimensions(tmp_path, shape):
+    # read_tensor would reject the file, so write_tensor writes none
+    path = tmp_path / "t.bin"
+    with pytest.raises(TensorFormatError, match=re.escape(f"empty dimensions {shape}")):
+        write_tensor(np.zeros(shape), path)
+    assert not path.exists()
+
+
 def test_read_tensor_diagnostics(rng, tmp_path):
     path = tmp_path / "t.bin"
 
@@ -1114,13 +1124,13 @@ def test_report_encodes_inf_as_null(rng, tmp_path):
 def test_heatmap_csv_table(small_report):
     lines = heatmap_csv(small_report).splitlines()
     assert lines[0] == "round,layer,relative_error,pruned_percent"
-    n_layers = len(small_report.before["per_layer"])
+    n_layers = len(small_report.before.per_layer)
     assert len(lines) == 1 + n_layers * len(small_report.rounds)
     r0 = small_report.rounds[0]
     first = lines[1].split(",")
     assert first[0] == "1" and first[1] == "1"
     assert float(first[2]) == pytest.approx(r0.errors[0])
-    originals = [e["out_channels"] for e in small_report.before["per_layer"]]
+    originals = [e.out_channels for e in small_report.before.per_layer]
     want_pct = round(100.0 * (1.0 - r0.retained[0] / originals[0]), 1)
     assert float(first[3]) == want_pct
 
@@ -1221,6 +1231,8 @@ def test_read_report_rejects_malformed_float_and_status_fields(
 # PruneConfig, if read_report let it through
 MALFORMED_REPORT_SHAPES = [
     (("config",), "x", "config must be an object, got 'x'"),
+    (("config", "beta"), 2.0, r"beta must be in \(0, 1\), got 2.0"),
+    (("config", "budget"), 3, ".*unexpected keyword argument 'budget'"),
     (("before",), 5, "before must be an object, got 5"),
     (("after",), None, "after must be an object, got None"),
     (("before", "params"), 1.5, "before params must be an integer, got 1.5"),
@@ -1264,7 +1276,7 @@ def write_edited_report(report, path: Path, where: tuple, value) -> None:
 def test_read_report_rejects_malformed_stats_and_round_lengths(
     small_report, tmp_path, where, value, message
 ):
-    assert len(small_report.before["per_layer"]) == 2
+    assert len(small_report.before.per_layer) == 2
     path = tmp_path / "r.json"
     write_edited_report(small_report, path, where, value)
     with pytest.raises(ModelIOError, match=f"^malformed report file: {message}$"):
@@ -1273,7 +1285,7 @@ def test_read_report_rejects_malformed_stats_and_round_lengths(
 
 def test_read_report_requires_a_stats_entry_per_layer(small_report, tmp_path):
     path = tmp_path / "r.json"
-    one_layer = small_report.after["per_layer"][:1]
+    one_layer = [dataclasses.asdict(small_report.after.per_layer[0])]
     write_edited_report(small_report, path, ("after", "per_layer"), one_layer)
     message = "^malformed report file: after per_layer holds 1 layers, before 2$"
     with pytest.raises(ModelIOError, match=message):
